@@ -169,35 +169,108 @@ pub fn proportional_fill_into(total: f64, claims: &[Claim], alloc: &mut Vec<f64>
         alloc.extend(claims.iter().map(|c| c.max));
         return total - sum_max;
     }
-    // Σ clamp(λ·share, min, max) is continuous and non-decreasing in λ;
-    // bisect λ between 0 and the value that maxes every claim.
-    let alloc_at = |lambda: f64| -> f64 {
-        claims
-            .iter()
-            .map(|c| (lambda * c.share).clamp(c.min, c.max))
-            .sum()
-    };
-    let mut lo = 0.0;
-    let mut hi = claims
-        .iter()
-        .map(|c| c.max / c.share)
-        .fold(0.0_f64, f64::max)
-        .max(1e-12);
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        if alloc_at(mid) < total {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let lambda = 0.5 * (lo + hi);
+    let lambda = fill_level(total, claims);
     alloc.extend(
         claims
             .iter()
             .map(|c| (lambda * c.share).clamp(c.min, c.max)),
     );
     0.0
+}
+
+/// The water level λ at which Σ clamp(λ·share, min, max) = `total`, for
+/// a `total` strictly between the sums of minima and maxima.
+///
+/// The sum is continuous, non-decreasing and piecewise linear in λ: on
+/// each piece a fixed set of claims sits at a bound and the rest are
+/// free, so the sum is `pinned + λ·free_share`. Probing any λ names its
+/// piece, and that piece's root λ′ = (total − pinned) / free_share
+/// follows in closed form. λ′ is the answer when probing it finds the
+/// same clamp set. Counts suffice to compare sets: a claim only ever
+/// moves min → free → max as λ grows, so between two levels the
+/// min-clamped set can only shrink and the max-clamped set only grow,
+/// and equal counts mean equal sets. Otherwise both probes narrow a
+/// bracket on λ and the next probe is its midpoint. The round cap only
+/// guards termination; it is reached only when the root sits exactly on
+/// a breakpoint, and then the bracket has closed on the root anyway.
+fn fill_level(total: f64, claims: &[Claim]) -> f64 {
+    let sum_share: f64 = claims.iter().map(|c| c.share).sum();
+    let mut lo = 0.0_f64;
+    let mut hi = claims
+        .iter()
+        .map(|c| c.max / c.share)
+        .fold(0.0_f64, f64::max)
+        .max(1e-12);
+    let mut lambda = total / sum_share;
+    for _ in 0..64 {
+        if (lo..=hi).contains(&lambda) {
+            let p = Probe::at(lambda, claims);
+            if p.free_share > 0.0 {
+                let root = (total - p.pinned) / p.free_share;
+                if (lo..=hi).contains(&root) {
+                    let q = Probe::at(root, claims);
+                    if q.at_min == p.at_min && q.at_max == p.at_max {
+                        return root;
+                    }
+                    q.narrow(root, total, &mut lo, &mut hi);
+                }
+            } else if p.pinned == total {
+                // A flat piece at exactly `total`: every claim is at a
+                // bound, so any λ on it gives the same allocation.
+                return lambda;
+            }
+            p.narrow(lambda, total, &mut lo, &mut hi);
+        }
+        lambda = 0.5 * (lo + hi);
+    }
+    lambda
+}
+
+/// The fill's clamp set at one trial λ.
+struct Probe {
+    /// Claims with `λ·share <= min`.
+    at_min: usize,
+    /// Claims with `λ·share >= max` (and above `min`).
+    at_max: usize,
+    /// Sum of the bounds the clamped claims sit at.
+    pinned: f64,
+    /// Sum of the free claims' shares.
+    free_share: f64,
+}
+
+impl Probe {
+    fn at(lambda: f64, claims: &[Claim]) -> Probe {
+        let mut p = Probe {
+            at_min: 0,
+            at_max: 0,
+            pinned: 0.0,
+            free_share: 0.0,
+        };
+        for c in claims {
+            let a = lambda * c.share;
+            if a <= c.min {
+                p.at_min += 1;
+                p.pinned += c.min;
+            } else if a >= c.max {
+                p.at_max += 1;
+                p.pinned += c.max;
+            } else {
+                p.free_share += c.share;
+            }
+        }
+        p
+    }
+
+    /// Narrow the bracket `[lo, hi]` on the root with this probe, taken
+    /// at `lambda`: the root lies above `lambda` when the fill falls
+    /// short of `total` there, and at or below it otherwise.
+    fn narrow(&self, lambda: f64, total: f64, lo: &mut f64, hi: &mut f64) {
+        if self.pinned + lambda * self.free_share < total {
+            *lo = lo.max(lambda);
+        } else {
+            *hi = hi.min(lambda);
+        }
+    }
 }
 
 /// Proportional *initial* split (§5.2 initial distribution functions): the
@@ -366,6 +439,37 @@ mod tests {
         let d = proportional_fill(500.0, &[]);
         assert!(d.allocations.is_empty());
         assert_eq!(d.unplaced, 500.0);
+    }
+
+    #[test]
+    fn fill_on_a_flat_piece() {
+        // For λ in [1, 5] both claims sit at a bound and the sum is flat
+        // at 6: any level there gives the same allocation.
+        let c = vec![
+            Claim::new(1.0, 0.0, 0.0, 1.0),
+            Claim::new(1.0, 0.0, 5.0, 6.0),
+        ];
+        let d = proportional_fill(6.0, &c);
+        assert_eq!(d.allocations, vec![1.0, 5.0]);
+        assert_eq!(d.unplaced, 0.0);
+    }
+
+    #[test]
+    fn fill_root_on_a_breakpoint() {
+        // The root λ = 1 is exactly where the second claim reaches its
+        // max. The first guess (0.9) solves its piece to 1.0, but the
+        // probe there counts that claim as max-clamped, so the set test
+        // never accepts; the bracket must still close on the root.
+        let c = vec![
+            Claim::new(1.0, 0.0, 0.0, 10.0),
+            Claim::new(3.0, 0.0, 0.0, 3.0),
+            Claim::new(1.0, 0.0, 0.0, 0.5),
+        ];
+        let d = proportional_fill(4.5, &c);
+        for (a, want) in d.allocations.iter().zip([1.0, 3.0, 0.5]) {
+            assert!((a - want).abs() < 1e-12, "{:?}", d.allocations);
+        }
+        assert_eq!(d.unplaced, 0.0);
     }
 
     #[test]

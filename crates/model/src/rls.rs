@@ -119,7 +119,10 @@ impl<const N: usize> Rls<N> {
         } else {
             self.window[self.next] = sq;
         }
-        self.next = (self.next + 1) % self.window_len;
+        self.next += 1;
+        if self.next == self.window_len {
+            self.next = 0;
+        }
         resid
     }
 

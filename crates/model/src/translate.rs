@@ -19,7 +19,6 @@
 //!   behaviour is never worse than the seed.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::units::Watts;
@@ -227,8 +226,10 @@ impl ModelSnapshot {
 pub struct OnlineModel {
     cfg: ModelConfig,
     package: PowerCurveEstimator,
-    cores: BTreeMap<usize, PowerCurveEstimator>,
-    apps: BTreeMap<usize, ScalabilityEstimator>,
+    /// Per-core power fits, indexed by core (`None`: never observed).
+    cores: Vec<Option<PowerCurveEstimator>>,
+    /// Per-app scalability fits, indexed by the app's core.
+    apps: Vec<Option<ScalabilityEstimator>>,
     learning: bool,
     queries: Cell<u64>,
     fallbacks: Cell<u64>,
@@ -242,8 +243,8 @@ impl OnlineModel {
     pub fn new(cfg: ModelConfig) -> OnlineModel {
         OnlineModel {
             package: PowerCurveEstimator::new(cfg.power),
-            cores: BTreeMap::new(),
-            apps: BTreeMap::new(),
+            cores: Vec::new(),
+            apps: Vec::new(),
             cfg,
             learning: true,
             queries: Cell::new(0),
@@ -318,9 +319,8 @@ impl OnlineModel {
             if let Some(p) = core.power {
                 let eff_ghz =
                     core.rates.active_freq.ghz() * core.rates.c0_residency.clamp(0.0, 1.0);
-                self.cores
-                    .entry(c)
-                    .or_insert_with(|| PowerCurveEstimator::new(self.cfg.power))
+                slot(&mut self.cores, c)
+                    .get_or_insert_with(|| PowerCurveEstimator::new(self.cfg.power))
                     .observe(eff_ghz, p.value());
             }
         }
@@ -333,15 +333,14 @@ impl OnlineModel {
             return;
         }
         self.generation += 1;
-        self.apps
-            .entry(core)
-            .or_insert_with(|| ScalabilityEstimator::new(self.cfg.scalability))
+        slot(&mut self.apps, core)
+            .get_or_insert_with(|| ScalabilityEstimator::new(self.cfg.scalability))
             .observe(active_freq.ghz(), normalized_perf);
     }
 
     /// Drop the scalability fit for a departed app's core.
     pub fn forget_app(&mut self, core: usize) {
-        if self.apps.remove(&core).is_some() {
+        if self.apps.get_mut(core).and_then(Option::take).is_some() {
             self.generation += 1;
         }
     }
@@ -366,13 +365,21 @@ impl OnlineModel {
         ModelSnapshot {
             learning: self.learning,
             package: self.package.snapshot(),
-            cores: self.cores.iter().map(|(c, e)| (*c, e.snapshot())).collect(),
+            cores: self
+                .cores
+                .iter()
+                .enumerate()
+                .filter_map(|(c, e)| Some((c, e.as_ref()?.snapshot())))
+                .collect(),
             apps: self
                 .apps
                 .iter()
-                .map(|(c, e)| AppFitSnapshot {
-                    core: *c,
-                    fit: e.snapshot(),
+                .enumerate()
+                .filter_map(|(c, e)| {
+                    Some(AppFitSnapshot {
+                        core: c,
+                        fit: e.as_ref()?.snapshot(),
+                    })
                 })
                 .collect(),
             queries: self.queries.get(),
@@ -420,7 +427,7 @@ impl OnlineModel {
         // hot path via performance_delta.
         let mut sum = 0.0;
         let mut count = 0usize;
-        for e in self.apps.values().filter(|e| e.confident()) {
+        for e in self.apps.iter().flatten().filter(|e| e.confident()) {
             sum += e.slope_per_ghz().max(0.0);
             count += 1;
         }
@@ -429,6 +436,16 @@ impl OnlineModel {
         }
         Some(sum / count as f64)
     }
+}
+
+/// The table entry for `core`, growing the table with empty entries when
+/// `core` is past its end. Growth happens only the first time a core is
+/// seen, so steady-state steps stay allocation-free.
+fn slot<T>(table: &mut Vec<Option<T>>, core: usize) -> &mut Option<T> {
+    if core >= table.len() {
+        table.resize_with(core + 1, || None);
+    }
+    &mut table[core]
 }
 
 impl TranslationModel for OnlineModel {
@@ -468,7 +485,7 @@ impl TranslationModel for OnlineModel {
     }
 
     fn khz_per_watt(&self, core: usize, freq: KiloHertz) -> Option<f64> {
-        let e = self.cores.get(&core)?;
+        let e = self.cores.get(core)?.as_ref()?;
         if !e.confident() {
             return None;
         }
@@ -633,6 +650,72 @@ mod tests {
         m.observe_app(0, KiloHertz::from_ghz(2.0), 0.5);
         assert_eq!(m.snapshot().package, before);
         assert!(m.snapshot().apps.is_empty());
+    }
+
+    /// A sample of `n` busy cores in which only `core` reports per-core
+    /// power.
+    fn sample_with_core_power(n: usize, core: usize) -> Sample {
+        use pap_telemetry::counters::CoreRates;
+        use pap_telemetry::sampler::CoreSample;
+        let busy = CoreSample {
+            rates: CoreRates {
+                active_freq: KiloHertz::from_ghz(2.0),
+                c0_residency: 1.0,
+                ips: 1e9,
+            },
+            power: None,
+            requested_freq: KiloHertz::from_ghz(2.0),
+        };
+        let mut cores = vec![busy; n];
+        cores[core].power = Some(Watts(3.0));
+        Sample {
+            time: pap_simcpu::units::Seconds(1.0),
+            interval: pap_simcpu::units::Seconds(1.0),
+            package_power: Watts(60.0),
+            cores_power: Watts(50.0),
+            cores,
+        }
+    }
+
+    #[test]
+    fn snapshot_lists_fits_in_core_order() {
+        let mut m = OnlineModel::new(ModelConfig::default());
+        for core in [1023, 0, 512] {
+            m.observe_sample(&sample_with_core_power(1024, core));
+            m.observe_app(core, KiloHertz::from_ghz(2.0), 0.5);
+        }
+        let snap = m.snapshot();
+        let cores: Vec<usize> = snap.cores.iter().map(|(c, _)| *c).collect();
+        let apps: Vec<usize> = snap.apps.iter().map(|a| a.core).collect();
+        assert_eq!(cores, [0, 512, 1023]);
+        assert_eq!(apps, [0, 512, 1023]);
+    }
+
+    #[test]
+    fn forgetting_an_unknown_app_is_a_noop() {
+        let mut m = OnlineModel::new(ModelConfig::default());
+        m.observe_app(4, KiloHertz::from_ghz(2.0), 0.5);
+        let generation = m.generation();
+        m.forget_app(2); // inside the table, never observed
+        m.forget_app(4096); // past the end of the table
+        assert_eq!(m.generation(), generation);
+        assert_eq!(m.snapshot().apps.len(), 1);
+        m.forget_app(4);
+        assert_eq!(m.generation(), generation + 1);
+        assert!(m.snapshot().apps.is_empty());
+        m.forget_app(4);
+        assert_eq!(m.generation(), generation + 1);
+    }
+
+    #[test]
+    fn khz_per_watt_is_none_for_unobserved_cores() {
+        let mut m = OnlineModel::new(ModelConfig::default());
+        let f = KiloHertz::from_ghz(2.0);
+        assert_eq!(m.khz_per_watt(0, f), None);
+        m.observe_sample(&sample_with_core_power(8, 6));
+        assert_eq!(m.khz_per_watt(3, f), None); // inside the table
+        assert_eq!(m.khz_per_watt(8, f), None); // just past its end
+        assert_eq!(m.khz_per_watt(usize::MAX, f), None);
     }
 
     #[test]

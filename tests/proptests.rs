@@ -42,8 +42,121 @@ fn arb_claims(n: usize) -> impl Strategy<Value = Vec<Claim>> {
     })
 }
 
+/// The water-fill as it used to be computed: 64 bisection passes on λ
+/// over Σ clamp(λ·share, min, max). Kept as the reference the exact
+/// fill is checked against.
+fn fill_oracle(total: f64, claims: &[Claim]) -> (Vec<f64>, f64) {
+    let sum_min: f64 = claims.iter().map(|c| c.min).sum();
+    let sum_max: f64 = claims.iter().map(|c| c.max).sum();
+    if total <= sum_min {
+        return (claims.iter().map(|c| c.min).collect(), total - sum_min);
+    }
+    if total >= sum_max {
+        return (claims.iter().map(|c| c.max).collect(), total - sum_max);
+    }
+    let alloc_at = |lambda: f64| -> f64 {
+        claims
+            .iter()
+            .map(|c| (lambda * c.share).clamp(c.min, c.max))
+            .sum()
+    };
+    let mut lo = 0.0;
+    let mut hi = claims
+        .iter()
+        .map(|c| c.max / c.share)
+        .fold(0.0_f64, f64::max)
+        .max(1e-12);
+    for _ in 0..64 {
+        let mid = 0.5 * (lo + hi);
+        if alloc_at(mid) < total {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let lambda = 0.5 * (lo + hi);
+    let alloc = claims
+        .iter()
+        .map(|c| (lambda * c.share).clamp(c.min, c.max))
+        .collect();
+    (alloc, 0.0)
+}
+
+/// Frequency-policy-shaped claims in kHz, up to `n` of them: shares from
+/// a few classes (so many claims tie and breakpoints coincide), bounds
+/// mostly at the grid's ends, and some claims pinned with `min == max`.
+fn arb_wide_claims(n: usize) -> impl Strategy<Value = Vec<Claim>> {
+    const SHARES: [f64; 6] = [10.0, 20.0, 25.0, 50.0, 90.0, 100.0];
+    proptest::collection::vec((0usize..6, 0usize..8, 0.0f64..1.0, 0.0f64..1.0), 1..=n).prop_map(
+        |raw| {
+            raw.into_iter()
+                .map(|(class, kind, a, b)| {
+                    let lo = 800_000.0 + a * 700_000.0;
+                    let hi = 1_500_000.0 + b * 1_500_000.0;
+                    let (min, max) = match kind {
+                        0 => (lo, lo),
+                        1 => (lo, hi),
+                        2 => (800_000.0, hi),
+                        3 => (lo, 3_000_000.0),
+                        _ => (800_000.0, 3_000_000.0),
+                    };
+                    Claim::new(SHARES[class], min, min, max)
+                })
+                .collect()
+        },
+    )
+}
+
+/// A fill target for `claims`: exactly at or just inside either end of
+/// the feasible range, or anywhere across it.
+fn wide_total(claims: &[Claim], kind: usize, t: f64) -> f64 {
+    let sum_min: f64 = claims.iter().map(|c| c.min).sum();
+    let sum_max: f64 = claims.iter().map(|c| c.max).sum();
+    let span = sum_max - sum_min;
+    match kind {
+        0 => sum_min,
+        1 => sum_max,
+        2 => sum_min + t * 1e-6 * span,
+        3 => sum_max - t * 1e-6 * span,
+        _ => sum_min + t * span,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The exact water-fill agrees with the bisection oracle at up to
+    /// 2048 claims, to 1e-9 relative per allocation, and snapping its
+    /// allocations onto a 100 MHz grid the way the policies do gives the
+    /// same frequencies.
+    #[test]
+    fn wide_fill_matches_oracle(
+        claims in arb_wide_claims(2048),
+        kind in 0usize..8,
+        t in 0.0f64..1.0,
+    ) {
+        let total = wide_total(&claims, kind, t);
+        let d = proportional_fill(total, &claims);
+        let (oracle, unplaced) = fill_oracle(total, &claims);
+        prop_assert_eq!(d.allocations.len(), oracle.len());
+        prop_assert!(
+            (d.unplaced - unplaced).abs() <= 1e-9 * unplaced.abs().max(1.0),
+            "unplaced {} vs oracle {unplaced}", d.unplaced
+        );
+        let g = FreqGrid::new(
+            KiloHertz::from_mhz(800),
+            KiloHertz::from_mhz(3000),
+            KiloHertz::from_mhz(100),
+        );
+        let snap = |khz: f64| g.round(KiloHertz(khz.max(0.0) as u64));
+        for (i, (a, o)) in d.allocations.iter().zip(&oracle).enumerate() {
+            prop_assert!(
+                (a - o).abs() <= 1e-9 * o.abs(),
+                "claim {i} of {}: {a} vs oracle {o} (total {total})", claims.len()
+            );
+            prop_assert_eq!(snap(*a), snap(*o), "claim {} snaps apart", i);
+        }
+    }
 
     /// Min-funding distribution conserves the resource: what the claims
     /// absorb plus the unplaced residue equals the input delta.
