@@ -6,7 +6,7 @@
 //! node gets budget/8, hardware RAPL, shares ignored), the hierarchical
 //! allocator (cluster cap → per-node caps from telemetry every 4
 //! intervals → per-app frequency shares), and the hierarchical run
-//! again on the parallel engine (one thread per node) to report
+//! again on the sharded engine (`pap_scale::run_sharded`) to report
 //! wall-clock simulation throughput and confirm bit-identical results.
 //!
 //! Reported per mode: Jain fairness over share-normalized per-app
@@ -19,8 +19,8 @@ use std::time::Instant;
 
 use clusterd::admission::{AppRequest, DemandClass};
 use clusterd::cluster::{AppReport, Cluster, ClusterConfig, ClusterError};
-use clusterd::engine::run_parallel;
 use pap_bench::{f1, f3, Table};
+use pap_scale::{run_sharded, ScaleConfig};
 use pap_simcpu::units::Watts;
 use pap_telemetry::stats::jain;
 use powerd::config::PolicyKind;
@@ -75,8 +75,8 @@ fn replay(policy: PolicyKind, rebalance_every: u64, parallel: bool) -> Outcome {
 
     let start = Instant::now();
     // the trace has events at fixed interval marks; between marks the
-    // engine runs uninterrupted (so the parallel engine's node threads
-    // live for a whole chunk, not a single interval)
+    // engine runs uninterrupted (so the sharded engine's workers live
+    // for a whole chunk, not a single interval)
     for (t, until) in [
         (0, MORNING),
         (MORNING, PEAK),
@@ -129,7 +129,7 @@ fn replay(policy: PolicyKind, rebalance_every: u64, parallel: bool) -> Outcome {
         }
 
         if parallel {
-            run_parallel(&mut cluster, until - t);
+            run_sharded(&mut cluster, until - t, &ScaleConfig::default());
         } else {
             cluster.run(until - t);
         }
@@ -202,7 +202,7 @@ fn main() {
     );
     let identical = hier.reports == par.reports && hier.caps == par.caps;
     println!(
-        "parallel engine identical to serial reference: {} (speedup {:.2}x)",
+        "sharded engine identical to serial reference: {} (speedup {:.2}x)",
         if identical {
             "yes"
         } else {
@@ -222,7 +222,7 @@ fn main() {
         hier.jain > rapl.jain,
         "hierarchical must beat RAPL-per-node on fairness"
     );
-    assert!(identical, "parallel engine must match the serial reference");
+    assert!(identical, "sharded engine must match the serial reference");
     assert!(
         rapl.rejected > 0 && hier.rejected > 0,
         "peak burst must overflow the cluster"

@@ -1,25 +1,23 @@
-//! Extension: the fleet fast path — WideChip-backed nodes plus decision
-//! memoization, end to end (DESIGN.md §16).
+//! Extension: the fleet fast path — WideChip-backed nodes, end to end
+//! (DESIGN.md §16).
 //!
 //! Replays the same seeded churn-heavy diurnal day at 1024 nodes through
-//! three stacks, all on the sharded `pap-scale` engine:
+//! two stacks, both on the sharded `pap-scale` engine:
 //!
-//! * **baseline** — scalar per-core `Chip` nodes, memoization off: what
-//!   the fleet paid before this fast path landed;
-//! * **widechip** — batch-stepped `WideChip` nodes, memoization off:
-//!   the simulator half of the win in isolation;
-//! * **fleet** — `WideChip` nodes with exact (ε = 0) decision
-//!   memoization: the shipping configuration.
+//! * **baseline** — scalar per-core `Chip` nodes: what the fleet paid
+//!   before this fast path landed;
+//! * **widechip** — batch-stepped `WideChip` nodes: the shipping
+//!   configuration.
 //!
 //! Unlike `ext_cluster_scale` (which pins one sim tick per control
 //! interval to isolate the control plane), this bench runs a realistic
 //! tick-to-interval ratio so the measured speedup is the *end-to-end*
 //! arbiter + simulation cost per control window.
 //!
-//! Exits non-zero if (a) any stack diverges from the baseline in any
-//! checked bit — energy to the bit, node caps, per-app reports, free
-//! cores — or (b) the fleet stack is below 3x the baseline's end-to-end
-//! throughput. Memo hit rate and steps/sec land in
+//! Exits non-zero if (a) the widechip stack diverges from the baseline
+//! in any checked bit — energy to the bit, node caps, per-app reports,
+//! free cores — or (b) it is below 3x the baseline's end-to-end
+//! throughput. Wall time and steps/sec land in
 //! `results/BENCH_fleet.json` for CI.
 
 use std::fmt::Write as _;
@@ -35,8 +33,7 @@ use pap_simcpu::chiplike::ChipLike;
 use pap_simcpu::units::{Seconds, Watts};
 use pap_simcpu::widechip::WideChip;
 use pap_tenants::arrival::ArrivalTrace;
-use powerd::config::{MemoMode, PolicyKind};
-use powerd::memo::MemoStats;
+use powerd::config::PolicyKind;
 
 fn f2(v: f64) -> String {
     format!("{v:.2}")
@@ -53,13 +50,11 @@ const TURNOVER: usize = 32;
 /// telemetry tick. (The cluster default is 1 ms — 1000 ticks — which
 /// would only flatter the WideChip side; 500 is conservative.)
 const TICKS_PER_INTERVAL: u64 = 500;
-/// Cluster-level cap rebalances every N node control intervals; between
-/// rebalances a settled node's inputs are bit-stable and the memo can
-/// replay.
+/// Cluster-level cap rebalances every N node control intervals.
 const REBALANCE_EVERY: u64 = 8;
 
-/// End state + wall time of one replay. Everything the three stacks
-/// must agree on bit-for-bit.
+/// End state + wall time of one replay. Everything the two stacks must
+/// agree on bit-for-bit.
 struct Outcome {
     label: &'static str,
     wall_secs: f64,
@@ -70,7 +65,6 @@ struct Outcome {
     free_cores: usize,
     /// Node control steps executed (nodes x windows).
     steps: u64,
-    memo: Option<MemoStats>,
 }
 
 impl Outcome {
@@ -87,7 +81,7 @@ impl Outcome {
     }
 }
 
-fn config(nodes: usize, memo: MemoMode) -> ClusterConfig {
+fn config(nodes: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(
         nodes,
         PolicyKind::FrequencyShares,
@@ -95,19 +89,13 @@ fn config(nodes: usize, memo: MemoMode) -> ClusterConfig {
     );
     cfg.tick = Seconds(cfg.control_interval.value() / TICKS_PER_INTERVAL as f64);
     cfg.rebalance_every = REBALANCE_EVERY;
-    cfg.memo = memo;
     cfg
 }
 
 /// Replay `windows` control windows of the seeded churn-heavy diurnal
 /// day on a fresh cluster over chip backend `C`.
-fn replay<C: ChipLike + Send>(
-    label: &'static str,
-    nodes: usize,
-    windows: u64,
-    memo: MemoMode,
-) -> Outcome {
-    let cfg = config(nodes, memo);
+fn replay<C: ChipLike + Send>(label: &'static str, nodes: usize, windows: u64) -> Outcome {
+    let cfg = config(nodes);
     let interval = cfg.control_interval;
     let mut cluster: Cluster<C> = Cluster::with_backend(cfg).expect("budget funds the node floors");
     let capacity = nodes * cluster.config().platform.num_cores;
@@ -147,7 +135,6 @@ fn replay<C: ChipLike + Send>(
         reports: cluster.reports(),
         free_cores: cluster.free_cores(),
         steps: nodes as u64 * windows,
-        memo: cluster.memo_stats(),
     }
 }
 
@@ -160,13 +147,9 @@ fn json_report(outcomes: &[Outcome], windows: u64, speedup: f64) -> String {
          \"stacks\": ["
     );
     for (i, o) in outcomes.iter().enumerate() {
-        let (hits, misses, rate) = o
-            .memo
-            .map_or((0, 0, 0.0), |m| (m.hits, m.misses, m.hit_rate()));
         let _ = writeln!(
             s,
             "    {{\"stack\": \"{}\", \"wall_s\": {:.4}, \"steps_per_s\": {:.0}, \
-             \"memo_hits\": {hits}, \"memo_misses\": {misses}, \"memo_hit_rate\": {rate:.4}, \
              \"identical_to_baseline\": {}}}{}",
             o.label,
             o.wall_secs,
@@ -197,22 +180,14 @@ fn main() -> ExitCode {
     }
 
     let outcomes = [
-        replay::<Chip>("baseline_chip", NODES, windows, MemoMode::Off),
-        replay::<WideChip>("widechip", NODES, windows, MemoMode::Off),
-        replay::<WideChip>("fleet_memo", NODES, windows, MemoMode::exact()),
+        replay::<Chip>("baseline_chip", NODES, windows),
+        replay::<WideChip>("widechip", NODES, windows),
     ];
-    let speedup = outcomes[0].wall_secs / outcomes[2].wall_secs;
+    let speedup = outcomes[0].wall_secs / outcomes[1].wall_secs;
 
     let mut t = Table::new(
         format!("Fleet fast path ({NODES} nodes, {windows} churn-heavy windows)"),
-        &[
-            "stack",
-            "identical",
-            "wall_s",
-            "ksteps/s",
-            "vs_baseline",
-            "memo_hit_rate",
-        ],
+        &["stack", "identical", "wall_s", "ksteps/s", "vs_baseline"],
     );
     for o in &outcomes {
         t.row(vec![
@@ -225,8 +200,6 @@ fn main() -> ExitCode {
             f2(o.wall_secs),
             f1(o.steps_per_sec() / 1e3),
             f2(outcomes[0].wall_secs / o.wall_secs),
-            o.memo
-                .map_or("-".into(), |m| format!("{:.1}%", m.hit_rate() * 100.0)),
         ]);
     }
     println!("{t}");
@@ -242,7 +215,7 @@ fn main() -> ExitCode {
     }
     if speedup < 3.0 {
         failures.push(format!(
-            "fleet stack is {speedup:.2}x the baseline end-to-end (gate: >= 3x)"
+            "widechip stack is {speedup:.2}x the baseline end-to-end (gate: >= 3x)"
         ));
     }
 
@@ -254,12 +227,7 @@ fn main() -> ExitCode {
     println!("Report written to {out_path}");
 
     if failures.is_empty() {
-        let memo = outcomes[2].memo.expect("fleet stack memoizes");
-        println!(
-            "PASS: all stacks bit-identical, {speedup:.1}x end-to-end at {NODES} nodes, \
-             memo hit rate {:.1}%.",
-            memo.hit_rate() * 100.0
-        );
+        println!("PASS: stacks bit-identical, {speedup:.1}x end-to-end at {NODES} nodes.");
         ExitCode::SUCCESS
     } else {
         for f in &failures {

@@ -1,7 +1,7 @@
 //! The cluster: many nodes under one global power budget, with dynamic
 //! admission, departures, periodic hierarchical rebalancing, and a
-//! serial reference engine (the parallel engine in [`crate::engine`]
-//! must reproduce it exactly).
+//! serial reference engine (any parallel engine driving the nodes
+//! through [`EngineSeam`] must reproduce it exactly).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -15,9 +15,8 @@ use pap_simcpu::units::{Seconds, Watts};
 use pap_simcpu::widechip::WideChip;
 use pap_telemetry::rollup::{ClusterRollup, NodeTelemetry};
 use pap_workloads::traces::LoadTrace;
-use powerd::config::{AppSpec, MemoMode, PolicyKind, TranslationKind};
+use powerd::config::{AppSpec, PolicyKind, TranslationKind};
 use powerd::daemon::DaemonError;
-use powerd::memo::MemoStats;
 use powerd::obs::{DecisionEvent, DecisionRecord, DecisionTrace};
 
 use crate::admission::{AppRequest, Placement};
@@ -48,9 +47,6 @@ pub struct ClusterConfig {
     /// learned capacity predictions, which the allocator uses to clamp
     /// claim ceilings at rebalance time.
     pub translation: TranslationKind,
-    /// Decision memoization applied to every node daemon (the fleet
-    /// fast path's control-plane half; exact replay by default).
-    pub memo: MemoMode,
 }
 
 impl ClusterConfig {
@@ -66,7 +62,6 @@ impl ClusterConfig {
             tick: Seconds(0.001),
             rebalance_every: 4,
             translation: TranslationKind::Naive,
-            memo: MemoMode::default(),
         }
     }
 }
@@ -190,8 +185,8 @@ pub enum RequeueOutcome {
 }
 
 /// A running cluster. Admission, departures, and the serial engine live
-/// here; [`crate::engine::run_parallel`] drives the same nodes
-/// concurrently.
+/// here; `pap_scale::run_sharded` drives the same nodes concurrently
+/// through [`EngineSeam`].
 ///
 /// Generic over the node simulator backend through the [`ChipLike`]
 /// seam, defaulting to the batch [`WideChip`]; `Cluster<Chip>` gets the
@@ -199,19 +194,19 @@ pub enum RequeueOutcome {
 /// `ext_fleet`).
 #[derive(Debug)]
 pub struct Cluster<C: ChipLike = WideChip> {
-    pub(crate) cfg: ClusterConfig,
-    pub(crate) nodes: Vec<Node<C>>,
-    pub(crate) allocator: BudgetAllocator,
-    pub(crate) placements: HashMap<String, usize>,
-    pub(crate) requests: HashMap<String, AppRequest>,
-    pub(crate) quarantined: Vec<bool>,
-    pub(crate) intervals_run: u64,
-    pub(crate) energy_j: f64,
-    pub(crate) last_rollup: Option<ClusterRollup>,
+    cfg: ClusterConfig,
+    nodes: Vec<Node<C>>,
+    allocator: BudgetAllocator,
+    placements: HashMap<String, usize>,
+    requests: HashMap<String, AppRequest>,
+    quarantined: Vec<bool>,
+    intervals_run: u64,
+    energy_j: f64,
+    last_rollup: Option<ClusterRollup>,
     /// Decision-trace observer: one record with `source = "cluster"` per
     /// rebalance round. `None` (the default) keeps observability
     /// strictly off-path.
-    pub(crate) observer: Option<DecisionTrace>,
+    observer: Option<DecisionTrace>,
 }
 
 impl Cluster {
@@ -255,7 +250,6 @@ impl<C: ChipLike> Cluster<C> {
                 )
                 .map(|mut n| {
                     n.set_translation(cfg.translation);
-                    n.set_memo(cfg.memo);
                     n
                 })
             })
@@ -272,20 +266,6 @@ impl<C: ChipLike> Cluster<C> {
             observer: None,
             cfg,
         })
-    }
-
-    /// Aggregate decision-memoization counters across every node's
-    /// daemon. `None` when memoization is off.
-    pub fn memo_stats(&self) -> Option<MemoStats> {
-        let mut total = MemoStats::default();
-        let mut any = false;
-        for n in &self.nodes {
-            if let Some(s) = n.memo_stats() {
-                total.merge(s);
-                any = true;
-            }
-        }
-        any.then_some(total)
     }
 
     /// Attach a decision-trace observer; each subsequent rebalance round
@@ -546,7 +526,8 @@ impl<C: ChipLike> Cluster<C> {
 
     /// Serial reference engine: advance every node one control interval
     /// (in node order), aggregate telemetry, and rebalance when due.
-    /// The parallel engine must produce bit-identical state.
+    /// The sharded engine (`pap_scale::run_sharded`) must produce
+    /// bit-identical state.
     pub fn run(&mut self, intervals: u64) {
         for _ in 0..intervals {
             let teles: Vec<NodeTelemetry> = self
@@ -564,11 +545,11 @@ impl<C: ChipLike> Cluster<C> {
         }
     }
 
-    pub(crate) fn rebalance_due(&self) -> bool {
+    fn rebalance_due(&self) -> bool {
         self.cfg.rebalance_every > 0 && self.intervals_run.is_multiple_of(self.cfg.rebalance_every)
     }
 
-    pub(crate) fn apply_rebalance(&mut self, rollup: &ClusterRollup) {
+    fn apply_rebalance(&mut self, rollup: &ClusterRollup) {
         let started = self.observer.as_ref().map(|_| std::time::Instant::now());
         let claims = claims_from_rollup(&self.cfg.platform, rollup);
         let caps = self.allocator.rebalance(&claims);
@@ -799,7 +780,7 @@ impl<C: ChipLike> EngineSeam<C> {
 /// produce identical records for identical rounds. `intervals_run` is
 /// the post-increment interval count, which every engine holds when
 /// rebalancing.
-pub(crate) fn rebalance_record(
+fn rebalance_record(
     cfg: &ClusterConfig,
     rollup: &ClusterRollup,
     claims: &[NodeClaim],

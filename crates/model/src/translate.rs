@@ -235,7 +235,6 @@ pub struct OnlineModel {
     fallbacks: Cell<u64>,
     pred_n: u64,
     pred_sum_sq: f64,
-    generation: u64,
 }
 
 impl OnlineModel {
@@ -251,25 +250,13 @@ impl OnlineModel {
             fallbacks: Cell::new(0),
             pred_n: 0,
             pred_sum_sq: 0.0,
-            generation: 0,
         }
-    }
-
-    /// Monotone counter bumped whenever the fits (or the learning gate)
-    /// change. Two equal generations imply every translation query
-    /// answers identically, which is what decision memoization
-    /// fingerprints instead of hashing the fit state itself.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Enable or disable learning. Queries still work while learning
     /// is off (the resilience layer turns it off when telemetry is
     /// unhealthy, so poisoned backfill never reaches the fits).
     pub fn set_learning(&mut self, on: bool) {
-        if self.learning != on {
-            self.generation += 1;
-        }
         self.learning = on;
     }
 
@@ -299,7 +286,6 @@ impl OnlineModel {
         if !self.learning {
             return;
         }
-        self.generation += 1;
         let total_ghz: f64 = sample
             .cores
             .iter()
@@ -332,7 +318,6 @@ impl OnlineModel {
         if !self.learning {
             return;
         }
-        self.generation += 1;
         slot(&mut self.apps, core)
             .get_or_insert_with(|| ScalabilityEstimator::new(self.cfg.scalability))
             .observe(active_freq.ghz(), normalized_perf);
@@ -340,8 +325,8 @@ impl OnlineModel {
 
     /// Drop the scalability fit for a departed app's core.
     pub fn forget_app(&mut self, core: usize) {
-        if self.apps.get_mut(core).and_then(Option::take).is_some() {
-            self.generation += 1;
+        if let Some(fit) = self.apps.get_mut(core) {
+            *fit = None;
         }
     }
 
@@ -695,16 +680,16 @@ mod tests {
     fn forgetting_an_unknown_app_is_a_noop() {
         let mut m = OnlineModel::new(ModelConfig::default());
         m.observe_app(4, KiloHertz::from_ghz(2.0), 0.5);
-        let generation = m.generation();
+        let before = m.snapshot();
         m.forget_app(2); // inside the table, never observed
         m.forget_app(4096); // past the end of the table
-        assert_eq!(m.generation(), generation);
+        assert_eq!(m.snapshot(), before);
         assert_eq!(m.snapshot().apps.len(), 1);
         m.forget_app(4);
-        assert_eq!(m.generation(), generation + 1);
-        assert!(m.snapshot().apps.is_empty());
+        let forgotten = m.snapshot();
+        assert!(forgotten.apps.is_empty());
         m.forget_app(4);
-        assert_eq!(m.generation(), generation + 1);
+        assert_eq!(m.snapshot(), forgotten);
     }
 
     #[test]

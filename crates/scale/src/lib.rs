@@ -9,9 +9,9 @@
 //! **bit-identical to the serial reference**.
 //!
 //! * [`engine`] — the sharded epoch engine: nodes partitioned into
-//!   chunks, a worker pool pulling chunks from a shared queue, and a
-//!   lightweight epoch commit (run by whichever worker finishes last)
-//!   in place of `clusterd::engine`'s two global barriers. Telemetry
+//!   chunks, a `std` scoped worker pool claiming chunks from an atomic
+//!   cursor, and a lightweight epoch commit (run by whichever worker
+//!   finishes last) in place of global barriers. Telemetry
 //!   aggregation is incremental ([`pap_telemetry::rollup::DeltaRollup`]);
 //!   at `epsilon = 0` the whole run is bit-identical to
 //!   [`clusterd::Cluster::run`], at `epsilon > 0` settled nodes are
@@ -20,9 +20,9 @@
 //!   drives the resident app population, batched per epoch for
 //!   `Cluster::admit_batch`/`depart_batch`.
 //! * [`sweep`] — the parallel experiment sweep engine (moved here from
-//!   `pap-bench`, which re-exports it): scoped workers, a shared work
-//!   queue, input-ordered collection. The sharded engine grew out of
-//!   this machinery and they share the vendored `crossbeam` shims.
+//!   `pap-bench`, which re-exports it): scoped workers, an atomic job
+//!   cursor, input-ordered collection. The sharded engine grew out of
+//!   this machinery.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -3,17 +3,18 @@
 //! Every figure/table/extension binary is a *sweep*: a list of
 //! independent experiment cells (policy × limit × mix …) whose results
 //! are reduced into a table after the fact. The engine here runs those
-//! cells on `crossbeam` scoped worker threads — the same pattern as the
-//! cluster parallel engine in `clusterd::engine` — and collects
-//! results **in input order**, so a parallel sweep's output is
-//! byte-identical to a serial one: each cell owns its chip/daemon/apps
-//! and shares no mutable state, and reduction happens on the calling
-//! thread after all cells land in their slots.
+//! cells on `std` scoped worker threads that claim cells from one
+//! atomic cursor — the same pattern as the sharded cluster engine in
+//! [`crate::engine`] — and collects results **in input order**, so a
+//! parallel sweep's output is byte-identical to a serial one: each cell
+//! owns its chip/daemon/apps and shares no mutable state, and reduction
+//! happens on the calling thread after all cells land in their slots.
 //!
 //! Thread count is controlled by [`Threads`]; binaries read it from the
 //! `PAP_SWEEP_THREADS` environment variable via [`Threads::from_env`],
 //! which is how CI proves serial-vs-parallel byte-identity.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Worker-thread selection for a sweep.
@@ -60,10 +61,10 @@ impl Threads {
 /// Map `f` over `jobs` with the given thread mode; results come back in
 /// input order regardless of completion order.
 ///
-/// Cells are distributed through a work-stealing queue and each result
-/// lands in its own pre-allocated slot (one `Mutex<Option<R>>` per cell,
-/// as in the cluster engine's telemetry slots), so workers never contend
-/// on a shared results vector.
+/// Each job waits in its own `Mutex<Option<T>>` slot; workers claim the
+/// next job index from one atomic cursor and write each result into its
+/// own pre-allocated slot, so workers never contend on a shared queue or
+/// results vector.
 pub fn run<T, R, F>(mode: Threads, jobs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -71,25 +72,26 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = jobs.len();
-    if mode.workers(n) <= 1 {
+    let workers = mode.workers(n);
+    if workers <= 1 {
         return jobs.into_iter().map(f).collect();
     }
-    let queue = crossbeam::queue::SegQueue::new();
-    for job in jobs.into_iter().enumerate() {
-        queue.push(job);
-    }
+    let jobs: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|s| {
-        for _ in 0..mode.workers(n) {
-            s.spawn(|_| {
-                while let Some((i, job)) = queue.pop() {
-                    let r = f(job);
-                    *slots[i].lock().expect("sweep result slot") = Some(r);
-                }
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                // Relaxed: the index publishes no data; each job and
+                // result sits behind its own mutex.
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                let job = job.lock().expect("sweep job slot").take();
+                let r = f(job.expect("each job is claimed once"));
+                *slots[i].lock().expect("sweep result slot") = Some(r);
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     slots
         .into_iter()
         .map(|m| {
@@ -169,8 +171,17 @@ mod tests {
             let out = run(mode, (0..97).collect::<Vec<u64>>(), |x| x * x);
             assert_eq!(out, (0..97).map(|x| x * x).collect::<Vec<u64>>());
         }
-        assert!(run(Threads::Auto, Vec::<u8>::new(), |x| x).is_empty());
+        for mode in [Threads::Serial, Threads::Auto, Threads::Fixed(4)] {
+            assert!(run(mode, Vec::<u8>::new(), |x| x).is_empty());
+        }
         assert_eq!(run(Threads::Auto, vec![7], |x| x + 1), vec![8]);
+        // More workers requested than jobs: the pool is capped at the
+        // job count and every worker exits by running the cursor past
+        // the last job.
+        assert_eq!(
+            run(Threads::Fixed(8), vec![1, 2, 3], |x| x * 10),
+            vec![10, 20, 30]
+        );
     }
 
     #[test]

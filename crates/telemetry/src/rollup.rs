@@ -218,7 +218,7 @@ impl ClusterRollup {
 
     /// The least-saturated node with at least one free core — the
     /// placement target. Ties break to the lowest node id (placement
-    /// must be deterministic for the parallel engine's replay checks).
+    /// must be deterministic for the sharded engine's replay checks).
     pub fn least_saturated(&self) -> Option<usize> {
         self.nodes
             .iter()

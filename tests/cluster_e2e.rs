@@ -5,7 +5,7 @@
 
 use clusterd::admission::{AppRequest, DemandClass};
 use clusterd::cluster::{Cluster, ClusterConfig, ClusterError};
-use clusterd::engine::run_parallel;
+use pap_scale::{run_sharded, ScaleConfig};
 use pap_simcpu::units::{Seconds, Watts};
 use pap_telemetry::stats::jain;
 use powerd::config::PolicyKind;
@@ -73,7 +73,7 @@ fn parallel_engine_is_bit_identical_to_serial() {
     let mut serial = build(PolicyKind::FrequencyShares, 2, 10);
     let mut parallel = build(PolicyKind::FrequencyShares, 2, 10);
     serial.run(9);
-    run_parallel(&mut parallel, 9);
+    run_sharded(&mut parallel, 9, &ScaleConfig::default());
 
     assert_eq!(
         serial.reports(),

@@ -1,6 +1,6 @@
-//! Shared golden-replay harness for the hot-path suites (`hotpath.rs`,
-//! `memo.rs`): deterministic synthetic telemetry, the policy scenario
-//! matrix, and fixture plumbing. Pure functions only — pre- and
+//! Golden-replay harness for the hot-path suite (`hotpath.rs`):
+//! deterministic synthetic telemetry, the policy scenario matrix, and
+//! fixture plumbing. Pure functions only — pre- and
 //! post-refactor replays must see bit-identical inputs.
 
 #![allow(dead_code)]

@@ -9,8 +9,8 @@
 //! `GOLDEN_REGEN=1 cargo test --test hotpath` — but only intentionally:
 //! a diff here means the controller's behaviour changed.
 //!
-//! The synthetic-telemetry harness and scenario matrix are shared with
-//! the decision-memo suite in `memo.rs` (see `common/mod.rs`).
+//! The synthetic-telemetry harness and scenario matrix live in
+//! `common/mod.rs`.
 
 mod common;
 

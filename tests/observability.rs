@@ -350,7 +350,7 @@ fn resilience_ladder_transitions_are_recorded() {
 fn cluster_records_identical_serial_and_parallel() {
     use clusterd::admission::{AppRequest, DemandClass};
     use clusterd::cluster::{Cluster, ClusterConfig};
-    use clusterd::engine::run_parallel;
+    use pap_scale::{run_sharded, ScaleConfig};
 
     let build = || {
         let mut cfg = ClusterConfig::new(3, PolicyKind::FrequencyShares, Watts(150.0));
@@ -376,7 +376,7 @@ fn cluster_records_identical_serial_and_parallel() {
     let mut serial = build();
     let mut parallel = build();
     serial.run(8);
-    run_parallel(&mut parallel, 8);
+    run_sharded(&mut parallel, 8, &ScaleConfig::default());
 
     let s = serial.take_observer().expect("observer attached");
     let p = parallel.take_observer().expect("observer attached");
