@@ -1,4 +1,4 @@
-//! Control-loop overhead: one daemon `step()` for each policy.
+//! Control-loop overhead: one daemon step for each policy.
 //!
 //! The paper argues the policy should ultimately live in hardware for
 //! low sampling overhead (§5); this bench quantifies the userspace cost —
@@ -68,7 +68,10 @@ fn bench_policies(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter_batched(
                 || daemon(policy, platform),
-                |mut d| d.step(&s),
+                |mut d| {
+                    let _ = d.try_step_view(&s);
+                    d.action().to_owned()
+                },
                 BatchSize::SmallInput,
             )
         });

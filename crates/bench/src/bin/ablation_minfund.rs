@@ -69,8 +69,8 @@ fn run(incremental: bool, limit: f64) -> Outcome {
     };
     let mut daemon = Daemon::new(config, &platform).unwrap();
     let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).unwrap();
-    let mut parked = action.parked.clone();
+    action.view().apply(&mut chip).unwrap();
+    let mut parked = action.parked;
 
     let mut sampler = Sampler::new(&chip);
     let dt = Seconds(0.001);
@@ -103,12 +103,10 @@ fn run(incremental: bool, limit: f64) -> Outcome {
         if t + 1e-9 >= next_control {
             next_control += 1.0;
             if let Some(sample) = sampler.sample(&chip) {
-                let action = daemon.step(&sample);
-                chip.set_all_requested(&action.freqs).unwrap();
-                for (core, &p) in action.parked.iter().enumerate() {
-                    chip.set_forced_idle(core, p).unwrap();
-                }
-                parked = action.parked.clone();
+                let _ = daemon.try_step_view(&sample);
+                let action = daemon.action();
+                action.apply(&mut chip).unwrap();
+                parked.copy_from_slice(action.parked);
                 if t > 20.0 {
                     let s_req: f64 = (0..SERVICE_CORES)
                         .map(|c| chip.requested_freq(c).mhz() as f64)

@@ -75,11 +75,8 @@ fn run(policy: PolicyKind, limit: f64) -> (PhaseStats, PhaseStats) {
     let config = DaemonConfig::new(policy, Watts(limit), apps);
     let mut daemon = Daemon::new(config, &platform).unwrap();
     let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).unwrap();
-    let mut parked = action.parked.clone();
-    for (core, &p) in parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).unwrap();
-    }
+    action.view().apply(&mut chip).unwrap();
+    let mut parked = action.parked;
 
     let mut sampler = Sampler::new(&chip);
     let dt = Seconds(0.001);
@@ -138,12 +135,10 @@ fn run(policy: PolicyKind, limit: f64) -> (PhaseStats, PhaseStats) {
         if t + 1e-9 >= next_control {
             next_control += 1.0;
             if let Some(sample) = sampler.sample(&chip) {
-                let action = daemon.step(&sample);
-                chip.set_all_requested(&action.freqs).unwrap();
-                for (core, &p) in action.parked.iter().enumerate() {
-                    chip.set_forced_idle(core, p).unwrap();
-                }
-                parked = action.parked.clone();
+                let _ = daemon.try_step_view(&sample);
+                let action = daemon.action();
+                action.apply(&mut chip).unwrap();
+                parked.copy_from_slice(action.parked);
             }
             // sample the service tail once per second into the phase
             // bucket, then restart the window

@@ -134,11 +134,8 @@ fn run_face_off(policy: PolicyKind, n: usize) -> FaceOffResult {
     }
 
     let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).expect("on-grid");
-    let mut parked = action.parked.clone();
-    for (c, &p) in parked.iter().enumerate() {
-        chip.set_forced_idle(c, p).expect("core in range");
-    }
+    action.view().apply(&mut chip).expect("valid action");
+    let mut parked = action.parked;
 
     let mut speedup_sum = vec![0.0f64; n];
     let mut gips_sum = 0.0;
@@ -189,12 +186,10 @@ fn run_face_off(policy: PolicyKind, n: usize) -> FaceOffResult {
             }
         }
 
-        let action = daemon.step(&sample);
-        chip.set_all_requested(&action.freqs).expect("on-grid");
-        parked.copy_from_slice(&action.parked);
-        for (c, &p) in action.parked.iter().enumerate() {
-            chip.set_forced_idle(c, p).expect("core in range");
-        }
+        let _ = daemon.try_step_view(&sample);
+        let action = daemon.action();
+        action.apply(&mut chip).expect("valid action");
+        parked.copy_from_slice(action.parked);
     }
 
     let mean_speedups: Vec<f64> = speedup_sum

@@ -140,11 +140,8 @@ fn run(kind: TranslationKind, never_confident: bool, seed: u64) -> Outcome {
         .collect();
 
     let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).expect("valid freqs");
-    for (core, &p) in action.parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).expect("core in range");
-    }
-    let mut parked = action.parked.clone();
+    action.view().apply(&mut chip).expect("valid action");
+    let mut parked = action.parked;
 
     let mut sampler = Sampler::new(&chip);
     let mut retargets: Vec<Retarget> = schedule();
@@ -179,13 +176,11 @@ fn run(kind: TranslationKind, never_confident: bool, seed: u64) -> Outcome {
             next_control += 1.0;
             if let Some(sample) = sampler.sample(&chip) {
                 power_log.push(sample.package_power.value());
-                let action = daemon.step(&sample);
-                chip.set_all_requested(&action.freqs).expect("valid freqs");
-                for (core, &p) in action.parked.iter().enumerate() {
-                    chip.set_forced_idle(core, p).expect("core in range");
-                }
-                parked = action.parked.clone();
-                freqs_log.push(action.freqs.clone());
+                let _ = daemon.try_step_view(&sample);
+                let action = daemon.action();
+                action.apply(&mut chip).expect("valid action");
+                parked.copy_from_slice(action.parked);
+                freqs_log.push(action.freqs.to_vec());
             }
         }
     }

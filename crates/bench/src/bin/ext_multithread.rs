@@ -58,11 +58,7 @@ fn run(policy: PolicyKind) -> Outcome {
     }
     let config = DaemonConfig::new(policy, Watts(42.0), apps);
     let mut daemon = Daemon::new(config, &platform).unwrap();
-    let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).unwrap();
-    for (core, &p) in action.parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).unwrap();
-    }
+    daemon.initial().view().apply(&mut chip).unwrap();
 
     let mut sampler = Sampler::new(&chip);
     let dt = Seconds(0.002);
@@ -102,8 +98,8 @@ fn run(policy: PolicyKind) -> Outcome {
         if t + 1e-9 >= next {
             next += 1.0;
             if let Some(sample) = sampler.sample(&chip) {
-                let action = daemon.step(&sample);
-                chip.set_all_requested(&action.freqs).unwrap();
+                let _ = daemon.try_step_view(&sample);
+                daemon.action().apply(&mut chip).unwrap();
                 if t >= warmup {
                     mt_mhz += (0..MT_CORES)
                         .map(|c| sample.cores[c].rates.active_freq.mhz() as f64)

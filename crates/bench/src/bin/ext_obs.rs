@@ -103,11 +103,8 @@ fn run(
         .collect();
 
     let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).expect("valid freqs");
-    for (core, &p) in action.parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).expect("core in range");
-    }
-    let mut parked = action.parked.clone();
+    action.view().apply(&mut chip).expect("valid action");
+    let mut parked = action.parked;
 
     let mut sampler = Sampler::new(&chip);
     let mut freqs_log = Vec::new();
@@ -134,14 +131,12 @@ fn run(
             next_control += 1.0;
             if let Some(sample) = sampler.sample(&chip) {
                 let started = Instant::now();
-                let action = daemon.step(&sample);
+                let _ = daemon.try_step_view(&sample);
+                let action = daemon.action().to_owned();
                 step_seconds += started.elapsed().as_secs_f64();
                 steps += 1;
-                chip.set_all_requested(&action.freqs).expect("valid freqs");
-                for (core, &p) in action.parked.iter().enumerate() {
-                    chip.set_forced_idle(core, p).expect("core in range");
-                }
-                parked = action.parked.clone();
+                action.view().apply(&mut chip).expect("valid action");
+                parked.copy_from_slice(&action.parked);
                 freqs_log.push(action.freqs);
                 parked_log.push(action.parked);
             }

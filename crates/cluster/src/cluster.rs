@@ -14,7 +14,6 @@ use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
 use pap_simcpu::widechip::WideChip;
 use pap_telemetry::rollup::{ClusterRollup, NodeTelemetry};
-use pap_workloads::traces::LoadTrace;
 use powerd::config::{AppSpec, PolicyKind, TranslationKind};
 use powerd::daemon::DaemonError;
 use powerd::obs::{DecisionEvent, DecisionRecord, DecisionTrace};
@@ -289,25 +288,6 @@ impl<C: ChipLike> Cluster<C> {
     /// rejects it. Fails with [`ClusterError::ClusterFull`] when every
     /// core in the cluster is occupied.
     pub fn admit(&mut self, req: &AppRequest) -> Result<Placement, ClusterError> {
-        self.admit_with(req, None)
-    }
-
-    /// [`Cluster::admit`], attaching an offered-load trace to the app:
-    /// its demand on whichever node accepts it follows the trace
-    /// instead of running flat out.
-    pub fn admit_traced(
-        &mut self,
-        req: &AppRequest,
-        trace: LoadTrace,
-    ) -> Result<Placement, ClusterError> {
-        self.admit_with(req, Some(trace))
-    }
-
-    fn admit_with(
-        &mut self,
-        req: &AppRequest,
-        trace: Option<LoadTrace>,
-    ) -> Result<Placement, ClusterError> {
         if self.placements.contains_key(&req.name) {
             return Err(ClusterError::DuplicateApp {
                 app: req.name.clone(),
@@ -325,7 +305,7 @@ impl<C: ChipLike> Cluster<C> {
             if self.quarantined[i] || self.nodes[i].free_cores() == 0 {
                 continue;
             }
-            match self.nodes[i].admit_traced(req, trace.clone()) {
+            match self.nodes[i].admit(req) {
                 Ok(core) => {
                     self.placements.insert(req.name.clone(), i);
                     self.requests.insert(req.name.clone(), req.clone());

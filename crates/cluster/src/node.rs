@@ -26,9 +26,8 @@ use pap_simcpu::widechip::WideChip;
 use pap_telemetry::rollup::NodeTelemetry;
 use pap_telemetry::sampler::Sampler;
 use pap_workloads::engine::RunningApp;
-use pap_workloads::traces::LoadTrace;
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind, TranslationKind};
-use powerd::daemon::{ControlAction, Daemon, DaemonError};
+use powerd::daemon::{Daemon, DaemonError};
 
 use crate::admission::AppRequest;
 
@@ -39,11 +38,6 @@ pub struct ResidentApp {
     pub spec: AppSpec,
     /// The simulated workload.
     pub engine: RunningApp,
-    /// Optional offered-load trace modulating the app's demand over
-    /// time (utilization and retired instructions scale by the trace's
-    /// intensity at the node's simulated clock). `None` = steady
-    /// full-demand, the historical behaviour.
-    pub trace: Option<LoadTrace>,
 }
 
 /// One cluster node: chip + daemon + resident apps.
@@ -98,7 +92,10 @@ impl<C: ChipLike> Node<C> {
         }
         let mut daemon = Daemon::new(config, &platform)?;
         let action = daemon.initial();
-        apply(&mut chip, &action);
+        action
+            .view()
+            .apply(&mut chip)
+            .expect("daemon emits grid/slot-valid frequencies");
         let sampler = Sampler::new(&chip);
         Ok(Node {
             id,
@@ -171,17 +168,6 @@ impl<C: ChipLike> Node<C> {
     /// unchanged. The app starts at the next control interval, when the
     /// daemon re-runs its initial distribution over the new app set.
     pub fn admit(&mut self, req: &AppRequest) -> Result<usize, DaemonError> {
-        self.admit_traced(req, None)
-    }
-
-    /// [`Node::admit`], with an optional offered-load trace attached:
-    /// the app's demand follows `trace` (diurnal, bursty, piecewise)
-    /// instead of running flat out.
-    pub fn admit_traced(
-        &mut self,
-        req: &AppRequest,
-        trace: Option<LoadTrace>,
-    ) -> Result<usize, DaemonError> {
         let core = (0..self.platform.num_cores)
             .find(|&c| self.apps.iter().all(|a| a.spec.core != c))
             .ok_or_else(|| {
@@ -200,7 +186,6 @@ impl<C: ChipLike> Node<C> {
         self.apps.push(ResidentApp {
             spec,
             engine: RunningApp::looping(profile),
-            trace,
         });
         Ok(core)
     }
@@ -235,14 +220,12 @@ impl<C: ChipLike> Node<C> {
 
     /// Whether every running app's next advance is a pure memo replay
     /// whose load equals the descriptor already installed on its core
-    /// (parked apps don't touch the chip and can't break steadiness;
-    /// traced apps modulate utilization with time and always can).
+    /// (parked apps don't touch the chip and can't break steadiness).
     fn apps_steady(&self) -> bool {
         self.apps.iter().all(|a| {
             self.parked[a.spec.core]
-                || (a.trace.is_none()
-                    && a.engine
-                        .steady_at(self.tick, self.chip.effective_freq(a.spec.core)))
+                || a.engine
+                    .steady_at(self.tick, self.chip.effective_freq(a.spec.core))
         })
     }
 
@@ -292,17 +275,8 @@ impl<C: ChipLike> Node<C> {
                 }
                 let f = self.chip.effective_freq(core);
                 let out = app.engine.advance(self.tick, f);
-                let (load, instructions) = match &app.trace {
-                    Some(trace) => {
-                        let s = trace.intensity(self.chip.now()).clamp(0.0, 1.0);
-                        let mut load = out.load;
-                        load.utilization *= s;
-                        (load, (out.instructions as f64 * s) as u64)
-                    }
-                    None => (out.load, out.instructions),
-                };
-                self.chip.set_load(core, load).expect("core in range");
-                *credit = credit.wrapping_add(instructions);
+                self.chip.set_load(core, out.load).expect("core in range");
+                *credit = credit.wrapping_add(out.instructions);
             }
             self.chip.tick(self.tick);
             t += 1;
@@ -316,9 +290,12 @@ impl<C: ChipLike> Node<C> {
             .sampler
             .sample(&self.chip)
             .expect("a whole control interval elapsed");
-        let action = self.daemon.step(&sample);
-        apply(&mut self.chip, &action);
-        self.parked = action.parked.clone();
+        let _ = self.daemon.try_step_view(&sample);
+        let action = self.daemon.action();
+        action
+            .apply(&mut self.chip)
+            .expect("daemon emits grid/slot-valid frequencies");
+        self.parked.copy_from_slice(action.parked);
         NodeTelemetry::from_sample(
             self.id,
             &sample,
@@ -327,14 +304,6 @@ impl<C: ChipLike> Node<C> {
             self.total_shares(),
         )
         .with_predicted_capacity(self.predicted_capacity())
-    }
-}
-
-fn apply<C: ChipLike>(chip: &mut C, action: &ControlAction) {
-    chip.set_all_requested(&action.freqs)
-        .expect("daemon emits grid/slot-valid frequencies");
-    for (core, &p) in action.parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).expect("core in range");
     }
 }
 
@@ -433,31 +402,6 @@ mod tests {
             "25 W cap must bite: {before} -> {after}"
         );
         assert!(n.retarget(Watts(5.0)).is_err(), "below RAPL floor rejected");
-    }
-
-    #[test]
-    fn traced_app_demand_follows_the_trace() {
-        let mut low = node();
-        low.admit_traced(
-            &AppRequest::new("t", 100, DemandClass::Heavy),
-            Some(LoadTrace::Flat(0.2)),
-        )
-        .unwrap();
-        low.advance_interval();
-        let throttled = low.advance_interval();
-
-        let mut full = node();
-        full.admit(&AppRequest::new("t", 100, DemandClass::Heavy))
-            .unwrap();
-        full.advance_interval();
-        let flat_out = full.advance_interval();
-
-        assert!(
-            throttled.total_ips < flat_out.total_ips * 0.5,
-            "a 0.2-intensity trace must cut retirement: {} vs {}",
-            throttled.total_ips,
-            flat_out.total_ips
-        );
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use pap_model::{
     ModelConfig, ModelSnapshot, NaiveAlpha, OnlineModel, TranslationKind, TranslationModel,
 };
+use pap_simcpu::chiplike::ChipLike;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_telemetry::energy::EnergyLedger;
@@ -138,7 +139,7 @@ impl ControlAction {
 
 /// Borrowed view of one control interval's decision, pointing into the
 /// daemon's reusable scratch buffers (DESIGN.md §11). This is what the
-/// allocation-free hot path ([`Daemon::step_view`]) hands out; sinks
+/// allocation-free hot path ([`Daemon::try_step_view`]) hands out; sinks
 /// that need to retain the decision past the next step call
 /// [`ActionView::to_owned`] — that copy is the *only* per-interval
 /// allocation, and it is the caller's explicit choice.
@@ -157,6 +158,16 @@ impl ActionView<'_> {
             freqs: self.freqs.to_vec(),
             parked: self.parked.to_vec(),
         }
+    }
+
+    /// Program the decision into a chip: every core's requested
+    /// frequency in one atomic write, then every core's park flag.
+    pub fn apply<C: ChipLike>(&self, chip: &mut C) -> pap_simcpu::error::Result<()> {
+        chip.set_all_requested(self.freqs)?;
+        for (core, &p) in self.parked.iter().enumerate() {
+            chip.set_forced_idle(core, p)?;
+        }
+        Ok(())
     }
 }
 
@@ -633,9 +644,9 @@ impl Daemon {
         }
     }
 
-    /// Borrowed view of the most recently computed action (the daemon's
-    /// scratch buffers).
-    fn action_view(&self) -> ActionView<'_> {
+    /// The action in force: the last one computed, held, or resumed
+    /// (borrowed from the daemon's scratch buffers).
+    pub fn action(&self) -> ActionView<'_> {
         ActionView {
             freqs: &self.scratch.action_freqs,
             parked: &self.scratch.action_parked,
@@ -646,7 +657,7 @@ impl Daemon {
     /// the applications start. No telemetry is needed.
     pub fn initial(&mut self) -> ControlAction {
         self.initial_compute();
-        self.action_view().to_owned()
+        self.action().to_owned()
     }
 
     /// Cold-path core of [`Daemon::initial`]: runs the policy's initial
@@ -700,7 +711,8 @@ impl Daemon {
     /// operating point*, because re-running the initial distribution
     /// would briefly command the top-share app to the maximum P-state
     /// and could overshoot the budget. Call after [`Daemon::initial`]
-    /// so per-policy internal state exists.
+    /// so per-policy internal state exists. [`Daemon::action`] then
+    /// reports the resumed targets, none parked.
     pub fn resume_from(&mut self, core_freqs: &[KiloHertz]) {
         // `round` both clamps into [min, max] and snaps to the P-state
         // grid: a firmware-clamped (off-grid) operating point must not
@@ -721,6 +733,7 @@ impl Daemon {
         current_parked.clear();
         current_parked.resize(config.apps.len(), false);
         self.initialized = true;
+        self.expand_current();
     }
 
     /// Last programmed per-app frequency targets (one per configured
@@ -735,40 +748,24 @@ impl Daemon {
     }
 
     /// One control interval: redistribution + translation (§5.2 functions
-    /// (ii) and (iii)) from a fresh telemetry sample.
-    ///
-    /// A malformed sample (fewer cores than an app's pin) no longer
-    /// panics: the daemon holds the previous operating point, traces the
-    /// error when an observer is attached, and recovers on the next
-    /// healthy sample. Use [`Daemon::try_step`] to see the error itself.
-    pub fn step(&mut self, sample: &Sample) -> ControlAction {
-        self.step_view(sample).to_owned()
-    }
-
-    /// Fallible variant of [`Daemon::step`]: returns the typed error a
-    /// malformed sample produces instead of degrading silently. Daemon
-    /// state (policy, model) is untouched on error.
-    pub fn try_step(&mut self, sample: &Sample) -> Result<ControlAction, DaemonError> {
-        self.step_compute(sample)?;
-        Ok(self.action_view().to_owned())
-    }
-
-    /// Allocation-free variant of [`Daemon::step`]: the returned
+    /// (ii) and (iii)) from a fresh telemetry sample. The returned
     /// [`ActionView`] borrows the daemon's scratch buffers and is valid
-    /// until the next control call. Steady state performs zero heap
-    /// allocations (observer detached); sinks that must retain the
+    /// until the next control call; steady state performs zero heap
+    /// allocations (observer detached), and sinks that must retain the
     /// decision call [`ActionView::to_owned`].
-    pub fn step_view(&mut self, sample: &Sample) -> ActionView<'_> {
+    ///
+    /// A malformed sample (fewer cores than an app's pin) does not
+    /// panic: the daemon holds the previous operating point, traces the
+    /// error when an observer is attached, and returns the typed error.
+    /// Policy and model state are untouched, the loop recovers on the
+    /// next healthy sample, and [`Daemon::action`] reads the held action
+    /// that is in force either way.
+    pub fn try_step_view(&mut self, sample: &Sample) -> Result<ActionView<'_>, DaemonError> {
         if let Err(err) = self.step_compute(sample) {
             self.hold_compute(sample, &err);
+            return Err(err);
         }
-        self.action_view()
-    }
-
-    /// Fallible, allocation-free variant of [`Daemon::step`].
-    pub fn try_step_view(&mut self, sample: &Sample) -> Result<ActionView<'_>, DaemonError> {
-        self.step_compute(sample)?;
-        Ok(self.action_view())
+        Ok(self.action())
     }
 
     /// One control interval computed into the scratch buffers.
@@ -855,7 +852,7 @@ impl Daemon {
                 sample.time,
                 Some(sample.package_power),
                 &self.scratch.out,
-                self.action_view(),
+                self.action(),
                 events,
                 started,
             );
@@ -866,10 +863,10 @@ impl Daemon {
         Ok(())
     }
 
-    /// Hold the previous operating point when a sample is malformed: the
-    /// chip keeps its last-programmed targets, the error becomes a trace
-    /// event, and the loop survives to the next healthy sample.
-    fn hold_compute(&mut self, sample: &Sample, err: &DaemonError) {
+    /// Re-expand the last programmed per-app targets into the action
+    /// buffers, so [`Daemon::action`] reports the operating point the
+    /// daemon holds.
+    fn expand_current(&mut self) {
         self.scratch.out.freqs.clear();
         self.scratch.out.freqs.extend_from_slice(&self.current);
         self.scratch.out.parked.clear();
@@ -878,6 +875,13 @@ impl Daemon {
             .parked
             .extend_from_slice(&self.current_parked);
         self.expand_compute();
+    }
+
+    /// Hold the previous operating point when a sample is malformed: the
+    /// chip keeps its last-programmed targets, the error becomes a trace
+    /// event, and the loop survives to the next healthy sample.
+    fn hold_compute(&mut self, sample: &Sample, err: &DaemonError) {
+        self.expand_current();
         if self.observer.is_some() {
             let mut events = Vec::new();
             if let DaemonError::ShortSample { expected, got } = *err {
@@ -890,7 +894,7 @@ impl Daemon {
                 sample.time,
                 Some(sample.package_power),
                 &self.scratch.out,
-                self.action_view(),
+                self.action(),
                 events,
                 None,
             );
@@ -1049,7 +1053,9 @@ mod tests {
         .unwrap();
         assert_eq!(d.config().apps.len(), 3);
         // next step bootstraps the full initial distribution again
-        let a = d.step(&sample(45.0, &[2000, 1000, 0, 0, 0, 0], 10));
+        let a = d
+            .try_step_view(&sample(45.0, &[2000, 1000, 0, 0, 0, 0], 10))
+            .unwrap();
         assert!(!a.parked[5], "admitted app's core runs");
         assert_eq!(
             a.freqs[5],
@@ -1087,7 +1093,7 @@ mod tests {
         d.initial();
         let spec = d.remove_app("ld").unwrap();
         assert_eq!(spec.core, 1);
-        let a = d.step(&sample(40.0, &[2000, 0], 10));
+        let a = d.try_step_view(&sample(40.0, &[2000, 0], 10)).unwrap();
         assert!(a.parked[1], "departed app's core parks");
         assert!(!a.parked[0]);
         assert!(matches!(
@@ -1102,12 +1108,12 @@ mod tests {
         let mut d = Daemon::new(cfg, &PlatformSpec::skylake()).unwrap();
         d.initial();
         let s = sample(55.0, &[3000, 3000], 10);
-        let before = d.step(&s);
+        let before = d.try_step_view(&s).unwrap().to_owned();
         // Flip the weighting toward the second app; the very next step
         // divides under the new weights — no reset, no re-init.
         assert_eq!(d.retarget_shares("ld", 90).unwrap(), 30);
         assert_eq!(d.retarget_shares("hd", 10).unwrap(), 70);
-        let after = d.step(&s);
+        let after = d.try_step_view(&s).unwrap();
         assert!(
             after.freqs[1] >= before.freqs[1] && after.freqs[0] <= before.freqs[0],
             "boosted app must not lose frequency: {:?} -> {:?}",
@@ -1157,7 +1163,7 @@ mod tests {
         // retargeting to 40 W the same sample is over budget and the
         // daemon must throttle.
         d.retarget_budget(Watts(40.0)).unwrap();
-        let a = d.step(&sample(65.0, &[3000, 1300], 10));
+        let a = d.try_step_view(&sample(65.0, &[3000, 1300], 10)).unwrap();
         assert!(a.freqs[0] < init.freqs[0], "tightened budget throttles");
     }
 
@@ -1179,7 +1185,7 @@ mod tests {
     fn step_before_initial_bootstraps() {
         let cfg = DaemonConfig::new(PolicyKind::FrequencyShares, Watts(50.0), skylake_apps());
         let mut d = Daemon::new(cfg, &PlatformSpec::skylake()).unwrap();
-        let a = d.step(&sample(60.0, &[3000, 1300], 10));
+        let a = d.try_step_view(&sample(60.0, &[3000, 1300], 10)).unwrap();
         assert_eq!(a.freqs.len(), 10);
     }
 
@@ -1188,7 +1194,7 @@ mod tests {
         let cfg = DaemonConfig::new(PolicyKind::FrequencyShares, Watts(40.0), skylake_apps());
         let mut d = Daemon::new(cfg, &PlatformSpec::skylake()).unwrap();
         let init = d.initial();
-        let a = d.step(&sample(65.0, &[3000, 1300], 10));
+        let a = d.try_step_view(&sample(65.0, &[3000, 1300], 10)).unwrap();
         assert!(a.freqs[0] < init.freqs[0]);
     }
 
@@ -1199,7 +1205,7 @@ mod tests {
         let a = d.initial();
         assert_eq!(a.freqs[0], KiloHertz::from_mhz(3000));
         assert_eq!(a.freqs[1], KiloHertz::from_mhz(3000));
-        let a = d.step(&sample(80.0, &[2400, 2400], 10));
+        let a = d.try_step_view(&sample(80.0, &[2400, 2400], 10)).unwrap();
         assert_eq!(
             a.freqs[0],
             KiloHertz::from_mhz(3000),
@@ -1228,8 +1234,8 @@ mod tests {
 
         // and after a step too
         let s = sample(60.0, &[3400, 3000, 2500, 2200, 2000, 1500, 1000, 800], 8);
-        let a = d.step(&s);
-        assert!(crate::quantize::distinct_levels_with(&a.freqs, &mut buf) <= 3);
+        let a = d.try_step_view(&s).unwrap();
+        assert!(crate::quantize::distinct_levels_with(a.freqs, &mut buf) <= 3);
     }
 
     #[test]

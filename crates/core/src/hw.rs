@@ -77,15 +77,10 @@ impl PowerBackend for SimBackend {
     }
 
     fn apply(&mut self, action: &ControlAction) -> Result<(), String> {
-        self.chip
-            .set_all_requested(&action.freqs)
-            .map_err(|e| e.to_string())?;
-        for (core, &p) in action.parked.iter().enumerate() {
-            self.chip
-                .set_forced_idle(core, p)
-                .map_err(|e| e.to_string())?;
-        }
-        Ok(())
+        action
+            .view()
+            .apply(&mut self.chip)
+            .map_err(|e| e.to_string())
     }
 
     fn advance(&mut self, dt: Seconds) {
@@ -288,7 +283,8 @@ pub fn run_daemon<B: PowerBackend>(
         if t + 1e-9 >= next {
             next += interval;
             if let Some(sample) = backend.sample() {
-                action = daemon.step(&sample);
+                let _ = daemon.try_step_view(&sample);
+                action = daemon.action().to_owned();
                 backend.apply(&action)?;
             }
         }

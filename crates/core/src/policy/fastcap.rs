@@ -236,6 +236,7 @@ impl Policy for FastCapAlloc {
 mod tests {
     use super::*;
     use crate::config::Priority;
+    use crate::policy::step_once;
     use crate::policy::AppView;
     use pap_model::{ModelConfig, NaiveAlpha, OnlineModel};
     use pap_simcpu::freq::FreqGrid;
@@ -312,12 +313,12 @@ mod tests {
             };
             let mut fast = FastCapAlloc::new();
             let mut shares = FrequencyShares::new();
-            let a = fast.step_with(&ctx(50.0), &input, &model);
-            let b = shares.step_with(&ctx(50.0), &input, &model);
+            let a = step_once(&mut fast, &ctx(50.0), &input, &model);
+            let b = step_once(&mut shares, &ctx(50.0), &input, &model);
             assert_eq!(a, b, "divergence at pkg={pkg}");
             // NaiveAlpha reports unconfident too: same fallback.
-            let c = fast.step_with(&ctx(50.0), &input, &NaiveAlpha);
-            let d = shares.step_with(&ctx(50.0), &input, &NaiveAlpha);
+            let c = step_once(&mut fast, &ctx(50.0), &input, &NaiveAlpha);
+            let d = step_once(&mut shares, &ctx(50.0), &input, &NaiveAlpha);
             assert_eq!(c, d);
         }
     }
@@ -331,7 +332,8 @@ mod tests {
         let mut p = FastCapAlloc::new();
         let apps = vec![app(0, 50.0, 1500, 0.75), app(1, 50.0, 1500, 0.375)];
         let current = vec![KiloHertz::from_mhz(1500); 2];
-        let out = p.step_with(
+        let out = step_once(
+            &mut p,
             &ctx(44.0),
             &PolicyInput {
                 package_power: Watts(40.0),
@@ -363,7 +365,8 @@ mod tests {
         // app 0 measures far below its programmed target: hardware-capped.
         let apps = vec![app(0, 50.0, 1700, 0.57), app(1, 50.0, 2000, 0.67)];
         let current = vec![KiloHertz::from_mhz(2400), KiloHertz::from_mhz(2000)];
-        let out = p.step_with(
+        let out = step_once(
+            &mut p,
             &ctx(70.0),
             &PolicyInput {
                 package_power: Watts(40.0),
@@ -433,7 +436,8 @@ mod tests {
         let mut p = FastCapAlloc::new();
         let apps = vec![app(0, 50.0, 2000, 0.67)];
         let current = vec![KiloHertz::from_mhz(2000)];
-        let out = p.step_with(
+        let out = step_once(
+            &mut p,
             &ctx(50.0),
             &PolicyInput {
                 package_power: Watts(50.2),
@@ -446,7 +450,8 @@ mod tests {
 
         let apps = vec![app(0, 50.0, 3000, 1.0)];
         let current = vec![KiloHertz::from_mhz(3000)];
-        let out = p.step_with(
+        let out = step_once(
+            &mut p,
             &ctx(80.0),
             &PolicyInput {
                 package_power: Watts(40.0),

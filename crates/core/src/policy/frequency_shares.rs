@@ -153,7 +153,9 @@ impl Policy for FrequencyShares {
 mod tests {
     use super::*;
     use crate::config::Priority;
+    use crate::policy::step_once;
     use crate::policy::AppView;
+    use pap_model::NaiveAlpha;
     use pap_simcpu::freq::FreqGrid;
     use pap_simcpu::units::Watts;
 
@@ -205,13 +207,15 @@ mod tests {
         let mut p = FrequencyShares::new();
         let apps = vec![app(0, 50.0, 2500), app(1, 50.0, 2500)];
         let current = vec![KiloHertz::from_mhz(2500); 2];
-        let out = p.step(
+        let out = step_once(
+            &mut p,
             &ctx(40.0),
             &PolicyInput {
                 package_power: Watts(60.0),
                 apps: &apps,
                 current: &current,
             },
+            &NaiveAlpha,
         );
         assert!(out.freqs[0] < KiloHertz::from_mhz(2500));
         assert_eq!(out.freqs[0], out.freqs[1], "equal shares move together");
@@ -222,13 +226,15 @@ mod tests {
         let mut p = FrequencyShares::new();
         let apps = vec![app(0, 50.0, 1500), app(1, 50.0, 1500)];
         let current = vec![KiloHertz::from_mhz(1500); 2];
-        let out = p.step(
+        let out = step_once(
+            &mut p,
             &ctx(60.0),
             &PolicyInput {
                 package_power: Watts(40.0),
                 apps: &apps,
                 current: &current,
             },
+            &NaiveAlpha,
         );
         assert!(out.freqs[0] > KiloHertz::from_mhz(1500));
     }
@@ -238,13 +244,15 @@ mod tests {
         let mut p = FrequencyShares::new();
         let apps = vec![app(0, 50.0, 2000)];
         let current = vec![KiloHertz::from_mhz(2000)];
-        let out = p.step(
+        let out = step_once(
+            &mut p,
             &ctx(50.0),
             &PolicyInput {
                 package_power: Watts(50.3),
                 apps: &apps,
                 current: &current,
             },
+            &NaiveAlpha,
         );
         assert_eq!(out.freqs, current);
     }
@@ -255,13 +263,15 @@ mod tests {
         // app 0 measures far below its target (hardware-capped), app 1 tracks
         let apps = vec![app(0, 50.0, 1700), app(1, 50.0, 2000)];
         let current = vec![KiloHertz::from_mhz(2400), KiloHertz::from_mhz(2000)];
-        let out = p.step(
+        let out = step_once(
+            &mut p,
             &ctx(60.0),
             &PolicyInput {
                 package_power: Watts(40.0),
                 apps: &apps,
                 current: &current,
             },
+            &NaiveAlpha,
         );
         // the capped app must not be granted beyond just-above-measured
         assert!(out.freqs[0] <= KiloHertz::from_mhz(2400));
@@ -274,13 +284,15 @@ mod tests {
         let mut p = FrequencyShares::new();
         let apps = vec![app(0, 50.0, 3000)];
         let current = vec![KiloHertz::from_mhz(3000)];
-        let out = p.step(
+        let out = step_once(
+            &mut p,
             &ctx(80.0),
             &PolicyInput {
                 package_power: Watts(40.0),
                 apps: &apps,
                 current: &current,
             },
+            &NaiveAlpha,
         );
         assert_eq!(out.freqs, current, "cannot raise past max");
     }
@@ -291,13 +303,15 @@ mod tests {
         let apps = vec![app(0, 37.0, 2100), app(1, 63.0, 1300)];
         let current = vec![KiloHertz::from_mhz(2100), KiloHertz::from_mhz(1300)];
         for pkg in [20.0, 45.0, 70.0] {
-            let out = p.step(
+            let out = step_once(
+                &mut p,
                 &ctx(50.0),
                 &PolicyInput {
                     package_power: Watts(pkg),
                     apps: &apps,
                     current: &current,
                 },
+                &NaiveAlpha,
             );
             let c = ctx(50.0);
             for f in &out.freqs {

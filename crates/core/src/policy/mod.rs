@@ -9,7 +9,7 @@
 //!    limit, applying min-funding revocation over saturated apps,
 //! 3. a **translation** from resource units to programmable frequencies.
 //!
-//! [`Policy::initial`] is (1); [`Policy::step`] is (2)+(3).
+//! [`Policy::initial`] is (1); [`Policy::step_into`] is (2)+(3).
 
 pub mod fastcap;
 pub mod frequency_shares;
@@ -19,7 +19,7 @@ pub mod power_shares;
 pub mod priority;
 pub mod single_core;
 
-use pap_model::{NaiveAlpha, TranslationModel};
+use pap_model::TranslationModel;
 use pap_simcpu::freq::{FreqGrid, KiloHertz};
 use pap_simcpu::units::Watts;
 
@@ -174,27 +174,21 @@ pub trait Policy {
         scratch: &mut PolicyScratch,
         out: &mut PolicyOutput,
     );
+}
 
-    /// Redistribution + translation for one control interval, with the
-    /// budget-to-frequency translation answered by `model`. Convenience
-    /// wrapper over [`Policy::step_into`] with fresh buffers.
-    fn step_with(
-        &mut self,
-        ctx: &PolicyCtx,
-        input: &PolicyInput<'_>,
-        model: &dyn TranslationModel,
-    ) -> PolicyOutput {
-        let mut scratch = PolicyScratch::default();
-        let mut out = PolicyOutput::default();
-        self.step_into(ctx, input, model, &mut scratch, &mut out);
-        out
-    }
-
-    /// Redistribution + translation under the paper's naïve α
-    /// translation (seed behaviour).
-    fn step(&mut self, ctx: &PolicyCtx, input: &PolicyInput<'_>) -> PolicyOutput {
-        self.step_with(ctx, input, &NaiveAlpha)
-    }
+/// One [`Policy::step_into`] with fresh buffers: the policy unit tests'
+/// entry point.
+#[cfg(test)]
+pub(crate) fn step_once(
+    policy: &mut dyn Policy,
+    ctx: &PolicyCtx,
+    input: &PolicyInput<'_>,
+    model: &dyn TranslationModel,
+) -> PolicyOutput {
+    let mut scratch = PolicyScratch::default();
+    let mut out = PolicyOutput::default();
+    policy.step_into(ctx, input, model, &mut scratch, &mut out);
+    out
 }
 
 /// Saturation-aware upper bound for raising an app's frequency: if the

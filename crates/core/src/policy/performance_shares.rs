@@ -157,7 +157,9 @@ impl Policy for PerformanceShares {
 mod tests {
     use super::*;
     use crate::config::Priority;
+    use crate::policy::step_once;
     use crate::policy::AppView;
+    use pap_model::NaiveAlpha;
     use pap_simcpu::freq::FreqGrid;
     use pap_simcpu::units::Watts;
 
@@ -203,13 +205,15 @@ mod tests {
         p.initial(&ctx(50.0), &apps);
         // measured perf 0.4 but limit 1.0, power inside deadband
         let current = vec![KiloHertz::from_mhz(1500)];
-        let out = p.step(
+        let out = step_once(
+            &mut p,
             &ctx(50.0),
             &PolicyInput {
                 package_power: Watts(50.0),
                 apps: &apps,
                 current: &current,
             },
+            &NaiveAlpha,
         );
         assert!(out.freqs[0] > KiloHertz::from_mhz(1500));
     }
@@ -221,13 +225,15 @@ mod tests {
         p.initial(&ctx(50.0), &apps);
         // equal shares -> limits 1.0 each; force limits down via power err
         let current = vec![KiloHertz::from_mhz(2500); 2];
-        let out = p.step(
+        let out = step_once(
+            &mut p,
             &ctx(40.0),
             &PolicyInput {
                 package_power: Watts(70.0),
                 apps: &apps,
                 current: &current,
             },
+            &NaiveAlpha,
         );
         // 30 W over budget: perf limits fall below measured 0.9 -> slow down
         assert!(out.freqs[0] < KiloHertz::from_mhz(2500));
@@ -241,26 +247,28 @@ mod tests {
         let apps = vec![app(100.0, 1.0, 3000)];
         p.initial(&ctx(50.0), &apps);
         let current = vec![KiloHertz::from_mhz(2000)];
-        let steady = p
-            .step(
-                &ctx(50.0),
-                &PolicyInput {
-                    package_power: Watts(50.0),
-                    apps: &[app(100.0, 1.0, 2000)],
-                    current: &current,
-                },
-            )
-            .freqs[0];
-        let after_phase = p
-            .step(
-                &ctx(50.0),
-                &PolicyInput {
-                    package_power: Watts(50.0),
-                    apps: &[app(100.0, 0.7, 2000)],
-                    current: &current,
-                },
-            )
-            .freqs[0];
+        let steady = step_once(
+            &mut p,
+            &ctx(50.0),
+            &PolicyInput {
+                package_power: Watts(50.0),
+                apps: &[app(100.0, 1.0, 2000)],
+                current: &current,
+            },
+            &NaiveAlpha,
+        )
+        .freqs[0];
+        let after_phase = step_once(
+            &mut p,
+            &ctx(50.0),
+            &PolicyInput {
+                package_power: Watts(50.0),
+                apps: &[app(100.0, 0.7, 2000)],
+                current: &current,
+            },
+            &NaiveAlpha,
+        )
+        .freqs[0];
         assert!(
             after_phase > steady,
             "IPS drop must trigger a frequency correction: {steady} -> {after_phase}"
@@ -272,13 +280,15 @@ mod tests {
         let mut p = PerformanceShares::new();
         let apps = vec![app(100.0, 0.5, 1500)];
         let current = vec![KiloHertz::from_mhz(1500)];
-        let out = p.step(
+        let out = step_once(
+            &mut p,
             &ctx(50.0),
             &PolicyInput {
                 package_power: Watts(30.0),
                 apps: &apps,
                 current: &current,
             },
+            &NaiveAlpha,
         );
         assert_eq!(out.freqs.len(), 1);
         assert_eq!(p.perf_limits().len(), 1);
@@ -291,13 +301,15 @@ mod tests {
         p.initial(&ctx(40.0), &apps);
         let mut current = vec![KiloHertz::from_mhz(2800), KiloHertz::from_mhz(900)];
         for pkg in [70.0, 65.0, 55.0, 45.0, 35.0, 20.0, 80.0] {
-            let out = p.step(
+            let out = step_once(
+                &mut p,
                 &ctx(40.0),
                 &PolicyInput {
                     package_power: Watts(pkg),
                     apps: &apps,
                     current: &current,
                 },
+                &NaiveAlpha,
             );
             current = out.freqs.clone();
             let c = ctx(40.0);

@@ -160,7 +160,9 @@ impl Policy for PowerShares {
 mod tests {
     use super::*;
     use crate::config::Priority;
+    use crate::policy::step_once;
     use crate::policy::AppView;
+    use pap_model::NaiveAlpha;
     use pap_simcpu::freq::FreqGrid;
 
     fn ctx(limit: f64) -> PolicyCtx {
@@ -207,13 +209,15 @@ mod tests {
         // app 0 draws above its limit, app 1 below; package on target
         let apps = vec![app(50.0, 12.0, 3000), app(50.0, 6.0, 3000)];
         let current = vec![KiloHertz::from_mhz(3000); 2];
-        let out = p.step(
+        let out = step_once(
+            &mut p,
             &ctx(31.0),
             &PolicyInput {
                 package_power: Watts(31.0),
                 apps: &apps,
                 current: &current,
             },
+            &NaiveAlpha,
         );
         assert!(out.freqs[0] < current[0], "over-limit app slowed");
         assert!(out.freqs[1] >= current[1], "under-limit app not slowed");
@@ -227,13 +231,15 @@ mod tests {
         let before: f64 = p.power_limits().iter().sum();
         let apps = vec![app(50.0, 10.0, 3000), app(50.0, 10.0, 3000)];
         let current = vec![KiloHertz::from_mhz(3000); 2];
-        p.step(
+        step_once(
+            &mut p,
             &ctx(31.0),
             &PolicyInput {
                 package_power: Watts(45.0), // 14 W over
                 apps: &apps,
                 current: &current,
             },
+            &NaiveAlpha,
         );
         let after: f64 = p.power_limits().iter().sum();
         assert!(after < before, "limits must shrink when over budget");
@@ -251,13 +257,15 @@ mod tests {
         let current = vec![KiloHertz::from_mhz(2000); 2];
         // HD app draws 12 W at 2 GHz; LD app draws 4 W
         let apps = vec![app(50.0, 12.0, 2000), app(50.0, 4.0, 2000)];
-        let out = p.step(
+        let out = step_once(
+            &mut p,
             &ctx(31.0),
             &PolicyInput {
                 package_power: Watts(31.0),
                 apps: &apps,
                 current: &current,
             },
+            &NaiveAlpha,
         );
         assert!(
             out.freqs[0] < out.freqs[1],
@@ -280,13 +288,15 @@ mod tests {
         let mut p = PowerShares::new();
         let apps = vec![app(100.0, 5.0, 2000)];
         let current = vec![KiloHertz::from_mhz(2000)];
-        let out = p.step(
+        let out = step_once(
+            &mut p,
             &ctx(40.0),
             &PolicyInput {
                 package_power: Watts(30.0),
                 apps: &apps,
                 current: &current,
             },
+            &NaiveAlpha,
         );
         assert_eq!(out.freqs.len(), 1);
     }

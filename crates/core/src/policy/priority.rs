@@ -231,7 +231,9 @@ impl Policy for PriorityPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::step_once;
     use crate::policy::AppView;
+    use pap_model::NaiveAlpha;
     use pap_simcpu::freq::FreqGrid;
     use pap_simcpu::units::Watts;
 
@@ -272,13 +274,15 @@ mod tests {
         cur: &[KiloHertz],
         pkg: f64,
     ) -> PolicyOutput {
-        p.step(
+        step_once(
+            p,
             c,
             &PolicyInput {
                 package_power: Watts(pkg),
                 apps: a,
                 current: cur,
             },
+            &NaiveAlpha,
         )
     }
 

@@ -783,7 +783,8 @@ impl ResilientDaemon {
         daemon.set_learning(learn);
         let action = if complete {
             let sample = Self::backfill(obs, &self.last_commanded);
-            daemon.step(&sample)
+            let _ = daemon.try_step_view(&sample);
+            daemon.action().to_owned()
         } else {
             // No previous action and an incomplete first observation:
             // fall back to the initial distribution.

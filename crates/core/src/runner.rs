@@ -27,7 +27,7 @@ use std::sync::Arc;
 use pap_telemetry::metrics::ControlMetrics;
 
 use crate::config::{AppSpec, ControllerTuning, DaemonConfig, PolicyKind, Priority};
-use crate::daemon::{ControlAction, Daemon};
+use crate::daemon::Daemon;
 use crate::obs::DecisionTrace;
 
 /// The standalone frequency the paper normalizes against: the app running
@@ -266,8 +266,11 @@ impl Experiment {
             .collect();
 
         let action = daemon.initial();
-        apply(&mut chip, &action);
-        let mut parked = action.parked.clone();
+        action
+            .view()
+            .apply(&mut chip)
+            .expect("daemon emits grid/slot-valid frequencies");
+        let mut parked = action.parked;
 
         let mut sampler = Sampler::new(&chip);
         let mut trace = Trace::new();
@@ -294,9 +297,12 @@ impl Experiment {
             if t + 1e-9 >= next_control {
                 next_control += interval.value();
                 if let Some(sample) = sampler.sample(&chip) {
-                    let action = daemon.step(&sample);
-                    apply(&mut chip, &action);
-                    parked = action.parked.clone();
+                    let _ = daemon.try_step_view(&sample);
+                    let action = daemon.action();
+                    action
+                        .apply(&mut chip)
+                        .expect("daemon emits grid/slot-valid frequencies");
+                    parked.copy_from_slice(action.parked);
                     trace.push(sample);
                 }
             }
@@ -334,14 +340,6 @@ impl Experiment {
             model: daemon.model_snapshot(),
             decisions: daemon.take_observer(),
         })
-    }
-}
-
-fn apply(chip: &mut Chip, action: &ControlAction) {
-    chip.set_all_requested(&action.freqs)
-        .expect("daemon emits grid/slot-valid frequencies");
-    for (core, &p) in action.parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).expect("core in range");
     }
 }
 
@@ -488,8 +486,11 @@ impl LatencyExperiment {
         let burn_core = self.platform.num_cores - 1;
 
         let action = daemon.initial();
-        apply(&mut chip, &action);
-        let mut parked = action.parked.clone();
+        action
+            .view()
+            .apply(&mut chip)
+            .expect("daemon emits grid/slot-valid frequencies");
+        let mut parked = action.parked;
 
         let mut sampler = Sampler::new(&chip);
         let mut trace = Trace::new();
@@ -541,9 +542,12 @@ impl LatencyExperiment {
             if t + 1e-9 >= next_control {
                 next_control += interval;
                 if let Some(sample) = sampler.sample(&chip) {
-                    let action = daemon.step(&sample);
-                    apply(&mut chip, &action);
-                    parked = action.parked.clone();
+                    let _ = daemon.try_step_view(&sample);
+                    let action = daemon.action();
+                    action
+                        .apply(&mut chip)
+                        .expect("daemon emits grid/slot-valid frequencies");
+                    parked.copy_from_slice(action.parked);
                     if stats_reset {
                         trace.push(sample);
                     }

@@ -298,7 +298,10 @@ impl ChaosExperiment {
                 let obs = observer.observe(&mut fchip);
                 let action = match &mut ctl {
                     Ctl::Resilient(rd) => rd.step(&obs),
-                    Ctl::Baseline(d, fill) => d.step(&fill.backfill(&obs)),
+                    Ctl::Baseline(d, fill) => {
+                        let _ = d.try_step_view(&fill.backfill(&obs));
+                        d.action().to_owned()
+                    }
                 };
                 parked = action.parked.clone();
                 apply(&mut fchip, &action, |core| {

@@ -400,11 +400,8 @@ impl Scenario {
         let controller = SloController::new(self.controller);
 
         let action = daemon.initial();
-        chip.set_all_requested(&action.freqs).unwrap();
-        let mut parked = action.parked.clone();
-        for (core, &p) in parked.iter().enumerate() {
-            chip.set_forced_idle(core, p).unwrap();
-        }
+        action.view().apply(&mut chip).unwrap();
+        let mut parked = action.parked;
 
         let mut sampler = Sampler::new(&chip);
         let total = self.warmup.value() + self.duration.value();
@@ -591,12 +588,10 @@ impl Scenario {
 
             // Daemon control interval.
             if let Some(sample) = sampler.sample(&chip) {
-                let action = daemon.step(&sample);
-                chip.set_all_requested(&action.freqs).unwrap();
-                for (core, &p) in action.parked.iter().enumerate() {
-                    chip.set_forced_idle(core, p).unwrap();
-                }
-                parked = action.parked.clone();
+                let _ = daemon.try_step_view(&sample);
+                let action = daemon.action();
+                action.apply(&mut chip).unwrap();
+                parked.copy_from_slice(action.parked);
             }
         }
 

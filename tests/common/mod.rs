@@ -11,7 +11,7 @@ use pap_simcpu::units::{Seconds, Watts};
 use pap_telemetry::counters::CoreRates;
 use pap_telemetry::sampler::{CoreSample, Sample};
 use powerd::config::{AppSpec, PolicyKind, Priority};
-use powerd::daemon::ControlAction;
+use powerd::daemon::ActionView;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -114,13 +114,13 @@ pub fn synth_sample(i: usize, platform: &PlatformSpec, apps: &[AppSpec], limit: 
     }
 }
 
-pub fn fmt_action(i: usize, a: &ControlAction, out: &mut String) {
+pub fn fmt_action(i: usize, a: ActionView<'_>, out: &mut String) {
     let _ = write!(out, "{i}:");
-    for f in &a.freqs {
+    for f in a.freqs {
         let _ = write!(out, " {}", f.khz());
     }
     out.push_str(" |");
-    for &p in &a.parked {
+    for &p in a.parked {
         out.push(if p { 'P' } else { '.' });
     }
     out.push('\n');

@@ -24,19 +24,14 @@ fn drive_checked(platform: PlatformSpec, config: DaemonConfig, seconds: f64) -> 
         })
         .collect();
 
-    let check_apply = |chip: &mut Chip, action: &ControlAction| {
-        // Every frequency must be on the platform grid; Ryzen actions must
-        // fit the shared slots (set_all_requested enforces both).
-        chip.set_all_requested(&action.freqs)
-            .expect("daemon action rejected by hardware");
-        for (core, &p) in action.parked.iter().enumerate() {
-            chip.set_forced_idle(core, p).unwrap();
-        }
-    };
-
+    // Every frequency must be on the platform grid; Ryzen actions must
+    // fit the shared slots (the chip's set_all_requested enforces both).
     let action = daemon.initial();
-    check_apply(&mut chip, &action);
-    let mut parked = action.parked.clone();
+    action
+        .view()
+        .apply(&mut chip)
+        .expect("daemon action rejected by hardware");
+    let mut parked = action.parked;
     let mut sampler = Sampler::new(&chip);
 
     let dt = Seconds(0.002);
@@ -58,9 +53,12 @@ fn drive_checked(platform: PlatformSpec, config: DaemonConfig, seconds: f64) -> 
         if t + 1e-9 >= next_control {
             next_control += 1.0;
             if let Some(sample) = sampler.sample(&chip) {
-                let action = daemon.step(&sample);
-                check_apply(&mut chip, &action);
-                parked = action.parked.clone();
+                let _ = daemon.try_step_view(&sample);
+                let action = daemon.action();
+                action
+                    .apply(&mut chip)
+                    .expect("daemon action rejected by hardware");
+                parked.copy_from_slice(action.parked);
             }
         }
     }
@@ -154,11 +152,7 @@ fn single_app_runs_at_speed_under_generous_limit() {
     let cfg = DaemonConfig::new(PolicyKind::FrequencyShares, Watts(80.0), apps);
     let mut chip = Chip::new(platform.clone());
     let mut daemon = Daemon::new(cfg, &platform).unwrap();
-    let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).unwrap();
-    for (core, &p) in action.parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).unwrap();
-    }
+    daemon.initial().view().apply(&mut chip).unwrap();
     let mut app = RunningApp::looping(spec::LEELA);
     for _ in 0..2000 {
         let f = chip.effective_freq(0);

@@ -66,11 +66,8 @@ fn drive(daemon: &mut Daemon, platform: &PlatformSpec, seconds: f64) -> Vec<Cont
         .collect();
 
     let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).expect("valid freqs");
-    for (core, &p) in action.parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).unwrap();
-    }
-    let mut parked = action.parked.clone();
+    action.view().apply(&mut chip).expect("valid action");
+    let mut parked = action.parked;
     let mut sampler = Sampler::new(&chip);
 
     let dt = Seconds(0.002);
@@ -92,13 +89,11 @@ fn drive(daemon: &mut Daemon, platform: &PlatformSpec, seconds: f64) -> Vec<Cont
         if t + 1e-9 >= next_control {
             next_control += 1.0;
             if let Some(sample) = sampler.sample(&chip) {
-                let action = daemon.step(&sample);
-                chip.set_all_requested(&action.freqs).expect("valid freqs");
-                for (core, &p) in action.parked.iter().enumerate() {
-                    chip.set_forced_idle(core, p).unwrap();
-                }
-                parked = action.parked.clone();
-                actions.push(action);
+                let _ = daemon.try_step_view(&sample);
+                let action = daemon.action();
+                action.apply(&mut chip).expect("valid action");
+                parked.copy_from_slice(action.parked);
+                actions.push(action.to_owned());
             }
         }
     }

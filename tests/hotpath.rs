@@ -44,10 +44,11 @@ fn replay_daemon(
     config.translation = translation;
     let mut d = Daemon::new(config, platform).expect("valid golden config");
     let mut out = String::new();
-    fmt_action(0, &d.initial(), &mut out);
+    fmt_action(0, d.initial().view(), &mut out);
     for i in 0..STEPS {
         let s = synth_sample(i, platform, &apps, limit);
-        fmt_action(i + 1, &d.step(&s), &mut out);
+        let _ = d.try_step_view(&s);
+        fmt_action(i + 1, d.action(), &mut out);
     }
     out
 }
@@ -62,7 +63,7 @@ fn replay_ladder() -> String {
     let mut d = ResilientDaemon::new(config, &platform, ResilienceConfig::default())
         .expect("valid ladder config");
     let mut out = String::new();
-    fmt_action(0, &d.initial(), &mut out);
+    fmt_action(0, d.initial().view(), &mut out);
     for i in 0..STEPS {
         let s = synth_sample(i, &platform, &apps, limit);
         let core_power_lost = (50..130).contains(&i);
@@ -88,7 +89,7 @@ fn replay_ladder() -> String {
         };
         let a = d.step(&obs);
         let _ = write!(out, "L{} ", d.level());
-        fmt_action(i + 1, &a, &mut out);
+        fmt_action(i + 1, a.view(), &mut out);
     }
     out
 }
@@ -114,10 +115,13 @@ fn golden_replay_resilience_ladder() {
     check_golden("resilience_ladder", &replay_ladder());
 }
 
-/// The tentpole guarantee: once warmed up, `Daemon::step_view` performs
-/// **zero heap allocations per step** for every policy under both
-/// translation models (observer detached). Samples are synthesized
-/// outside the measured window; only the control step is counted.
+/// The hot-path guarantee: once warmed up, `Daemon::try_step_view`
+/// performs **zero heap allocations per step** for every policy under
+/// both translation models (observer detached), on the hold path too:
+/// every 10th measured sample is truncated below the highest app core,
+/// so the daemon holds its last action and returns the typed error.
+/// Samples are synthesized outside the measured window; only the
+/// control step is counted.
 #[test]
 fn zero_alloc_steady_state() {
     const WARMUP: usize = 50;
@@ -129,16 +133,28 @@ fn zero_alloc_steady_state() {
             config.translation = translation;
             let mut d = Daemon::new(config, &platform).expect("valid config");
             d.initial();
+            let top_core = apps.iter().map(|a| a.core).max().expect("apps");
             let samples: Vec<Sample> = (0..WARMUP + MEASURED)
-                .map(|i| synth_sample(i, &platform, &apps, limit))
+                .map(|i| {
+                    let mut s = synth_sample(i, &platform, &apps, limit);
+                    if i >= WARMUP && (i - WARMUP).is_multiple_of(10) {
+                        s.cores.truncate(top_core);
+                    }
+                    s
+                })
                 .collect();
             for s in &samples[..WARMUP] {
-                d.step_view(s);
+                d.try_step_view(s).expect("well-formed warmup sample");
             }
             for (i, s) in samples[WARMUP..].iter().enumerate() {
                 let before = AllocCounter::snapshot();
-                d.step_view(s);
+                let held = d.try_step_view(s).is_err();
                 let after = AllocCounter::snapshot();
+                assert_eq!(
+                    held,
+                    i.is_multiple_of(10),
+                    "{name}: only truncated samples err"
+                );
                 assert_eq!(
                     after.events_since(&before),
                     0,

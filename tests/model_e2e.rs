@@ -7,6 +7,7 @@ use per_app_power::prelude::*;
 use per_app_power::telemetry::sampler::Sampler;
 use per_app_power::workloads::spec;
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind, Priority, TranslationKind};
+use powerd::daemon::ActionView;
 use proptest::prelude::*;
 
 /// Drive a daemon for `intervals` control intervals, swapping the
@@ -43,23 +44,19 @@ fn drive_with_swaps(
         .collect();
 
     let (f_min, f_max) = (platform.grid.min(), platform.grid.max());
-    let check_apply = |chip: &mut Chip, action: &ControlAction| {
+    let check_apply = |chip: &mut Chip, action: ActionView<'_>| {
         for (core, &f) in action.freqs.iter().enumerate() {
             assert!(
                 f >= f_min && f <= f_max,
                 "core {core} commanded {f:?} outside the P-state range [{f_min:?}, {f_max:?}]"
             );
         }
-        chip.set_all_requested(&action.freqs)
-            .expect("chip rejected a daemon action");
-        for (core, &p) in action.parked.iter().enumerate() {
-            chip.set_forced_idle(core, p).unwrap();
-        }
+        action.apply(chip).expect("chip rejected a daemon action");
     };
 
     let action = daemon.initial();
-    check_apply(&mut chip, &action);
-    let mut parked = action.parked.clone();
+    check_apply(&mut chip, action.view());
+    let mut parked = action.parked;
     let mut sampler = Sampler::new(&chip);
 
     let dt = Seconds(0.002);
@@ -85,9 +82,9 @@ fn drive_with_swaps(
             chip.tick(dt);
         }
         let sample = sampler.sample(&chip).expect("one interval elapsed");
-        let action = daemon.step(&sample);
-        check_apply(&mut chip, &action);
-        parked = action.parked.clone();
+        let _ = daemon.try_step_view(&sample);
+        check_apply(&mut chip, daemon.action());
+        parked.copy_from_slice(daemon.action().parked);
     }
 }
 

@@ -82,11 +82,8 @@ fn drive(daemon: &mut Daemon, platform: &PlatformSpec, seconds: f64) -> Vec<Cont
         .collect();
 
     let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).expect("valid freqs");
-    for (core, &p) in action.parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).unwrap();
-    }
-    let mut parked = action.parked.clone();
+    action.view().apply(&mut chip).expect("valid action");
+    let mut parked = action.parked;
     let mut sampler = Sampler::new(&chip);
 
     let dt = Seconds(0.002);
@@ -108,13 +105,11 @@ fn drive(daemon: &mut Daemon, platform: &PlatformSpec, seconds: f64) -> Vec<Cont
         if t + 1e-9 >= next_control {
             next_control += 1.0;
             if let Some(sample) = sampler.sample(&chip) {
-                let action = daemon.step(&sample);
-                chip.set_all_requested(&action.freqs).expect("valid freqs");
-                for (core, &p) in action.parked.iter().enumerate() {
-                    chip.set_forced_idle(core, p).unwrap();
-                }
-                parked = action.parked.clone();
-                actions.push(action);
+                let _ = daemon.try_step_view(&sample);
+                let action = daemon.action();
+                action.apply(&mut chip).expect("valid action");
+                parked.copy_from_slice(action.parked);
+                actions.push(action.to_owned());
             }
         }
     }
@@ -158,9 +153,11 @@ fn short_sample_degrades_instead_of_panicking() {
         };
         let short = truncate(&full, 2);
 
-        // The typed path reports the shortfall precisely (the first app
-        // whose pinned core the sample does not cover sits on core 2).
-        let err = daemon.try_step(&short).expect_err("short sample must err");
+        // The step reports the shortfall precisely (the first app whose
+        // pinned core the sample does not cover sits on core 2).
+        let err = daemon
+            .try_step_view(&short)
+            .expect_err("short sample must err");
         assert!(
             matches!(
                 err,
@@ -172,12 +169,13 @@ fn short_sample_degrades_instead_of_panicking() {
             "{policy:?}: unexpected error {err}"
         );
 
-        // The infallible path holds the previous decision, sized for the
-        // whole chip as always.
-        let held = daemon.step(&short);
+        // The action in force is the previous decision, held and sized
+        // for the whole chip as always.
+        let held = daemon.action();
         assert_eq!(held.freqs.len(), platform.num_cores, "{policy:?}");
         assert_eq!(
-            held, last,
+            held,
+            last.view(),
             "{policy:?}: a malformed sample must hold the previous action"
         );
 
@@ -217,6 +215,28 @@ fn resume_from_snaps_off_grid_points_to_the_grid() {
             );
         }
 
+        // The action in force is the resumed operating point, not the
+        // initial distribution: on the grid for every core, no app
+        // parked, and (without shared P-state slots to cluster into)
+        // each app's core at exactly its resumed target.
+        let action = daemon.action();
+        for (c, &f) in action.freqs.iter().enumerate() {
+            assert!(
+                platform.grid.contains(f),
+                "{policy:?}: core {c} resumed to off-grid {f:?}"
+            );
+        }
+        for (i, app) in daemon.config().apps.iter().enumerate() {
+            assert!(!action.parked[app.core], "{policy:?}: app {i} parked");
+            if platform.shared_pstate_slots.is_none() {
+                assert_eq!(
+                    action.freqs[app.core],
+                    daemon.current_targets()[i],
+                    "{policy:?}: app {i} action differs from its resumed target"
+                );
+            }
+        }
+
         // The daemon must keep stepping normally from the resumed state.
         let actions = drive_resumed(&mut daemon, &platform, 3.0);
         assert!(!actions.is_empty());
@@ -242,9 +262,10 @@ fn drive_resumed(daemon: &mut Daemon, platform: &PlatformSpec, seconds: f64) -> 
         if t + 1e-9 >= next_control {
             next_control += 1.0;
             if let Some(sample) = sampler.sample(&chip) {
-                let action = daemon.step(&sample);
-                chip.set_all_requested(&action.freqs).expect("valid freqs");
-                actions.push(action);
+                let _ = daemon.try_step_view(&sample);
+                let action = daemon.action();
+                action.apply(&mut chip).expect("valid action");
+                actions.push(action.to_owned());
             }
         }
     }
