@@ -12,11 +12,14 @@ fn bench_advance(c: &mut Criterion) {
     for (name, mhz) in [("unsaturated_3ghz", 3000u64), ("saturated_800mhz", 800u64)] {
         let mut svc = ClosedLoopService::new(ServiceConfig::websearch(), 9);
         let freqs = vec![KiloHertz::from_mhz(mhz); 9];
+        let mut loads = Vec::with_capacity(9);
         // warm into steady state
         for _ in 0..5_000 {
-            svc.advance(Seconds(0.001), &freqs);
+            svc.advance_into(Seconds(0.001), &freqs, &mut loads);
         }
-        g.bench_function(name, |b| b.iter(|| svc.advance(Seconds(0.001), &freqs)));
+        g.bench_function(name, |b| {
+            b.iter(|| svc.advance_into(Seconds(0.001), &freqs, &mut loads))
+        });
     }
     g.finish();
 }

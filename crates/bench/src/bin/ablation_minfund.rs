@@ -18,12 +18,12 @@ use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
-use pap_telemetry::sampler::Sampler;
 use pap_workloads::burn::cpuburn;
 use pap_workloads::latency::ServiceConfig;
 use pap_workloads::traces::{LoadTrace, TracedService};
 use powerd::config::{AppSpec, ControllerTuning, DaemonConfig, PolicyKind, Priority};
 use powerd::daemon::Daemon;
+use powerd::hw::{ControlLoop, SimBackend};
 
 const SERVICE_CORES: usize = 9;
 const BURN_CORE: usize = 9;
@@ -38,7 +38,7 @@ struct Outcome {
 
 fn run(incremental: bool, limit: f64) -> Outcome {
     let platform = PlatformSpec::skylake();
-    let mut chip = Chip::new(platform.clone());
+    let chip = Chip::new(platform.clone());
     let trace = LoadTrace::Bursty {
         high: 1.0,
         low: 0.25,
@@ -68,45 +68,34 @@ fn run(incremental: bool, limit: f64) -> Outcome {
         ..ControllerTuning::default()
     };
     let mut daemon = Daemon::new(config, &platform).unwrap();
-    let action = daemon.initial();
-    action.view().apply(&mut chip).unwrap();
-    let mut parked = action.parked;
-
-    let mut sampler = Sampler::new(&chip);
+    let mut lp = ControlLoop::new(SimBackend::new(chip), &mut daemon).unwrap();
     let dt = Seconds(0.001);
     let total = 240.0;
-    let mut t = 0.0;
-    let mut next_control = 1.0;
+    let mut loads = Vec::with_capacity(SERVICE_CORES);
 
     // per-interval requested-frequency records (post-settling)
     let mut service_req = Vec::new();
     let mut burn_req = Vec::new();
     let mut p90_reset = false;
 
-    while t < total {
+    while lp.elapsed().value() < total {
+        let (backend, parked) = lp.split_mut();
+        let chip = backend.chip_mut();
         let freqs: Vec<KiloHertz> = (0..SERVICE_CORES).map(|c| chip.effective_freq(c)).collect();
-        let loads = service.advance(dt, &freqs);
-        for (c, load) in loads.into_iter().enumerate() {
+        service.advance_into(dt, &freqs, &mut loads);
+        for (c, &load) in loads.iter().enumerate() {
             let instr = (load.utilization * freqs[c].hz() * dt.value()) as u64;
             chip.set_load(c, load).unwrap();
             chip.add_instructions(c, instr).unwrap();
         }
         if !parked[BURN_CORE] {
-            let f = chip.effective_freq(BURN_CORE);
-            let out = burn.advance(dt, f);
-            chip.set_load(BURN_CORE, out.load).unwrap();
-            chip.add_instructions(BURN_CORE, out.instructions).unwrap();
+            burn.run_on(chip, BURN_CORE, dt).unwrap();
         }
-        chip.tick(dt);
-        t += dt.value();
 
-        if t + 1e-9 >= next_control {
-            next_control += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
-                let _ = daemon.try_step_view(&sample);
-                let action = daemon.action();
-                action.apply(&mut chip).unwrap();
-                parked.copy_from_slice(action.parked);
+        if lp.advance(dt) {
+            let t = lp.elapsed().value();
+            if lp.control(&mut daemon).unwrap().is_some() {
+                let chip = lp.split_mut().0.chip();
                 if t > 20.0 {
                     let s_req: f64 = (0..SERVICE_CORES)
                         .map(|c| chip.requested_freq(c).mhz() as f64)

@@ -13,13 +13,13 @@ use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
-use pap_telemetry::sampler::Sampler;
 use pap_workloads::engine::RunningApp;
 use pap_workloads::latency::{DemandShape, ServiceConfig};
 use pap_workloads::spec;
 use pap_workloads::traces::{LoadTrace, TracedService};
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind, Priority};
 use powerd::daemon::Daemon;
+use powerd::hw::{ControlLoop, SimBackend};
 
 const SERVICE_CORES: usize = 5;
 const DAY: f64 = 120.0; // compressed day length in simulated seconds
@@ -74,14 +74,9 @@ fn run(policy: PolicyKind, limit: f64) -> (PhaseStats, PhaseStats) {
     }
     let config = DaemonConfig::new(policy, Watts(limit), apps);
     let mut daemon = Daemon::new(config, &platform).unwrap();
-    let action = daemon.initial();
-    action.view().apply(&mut chip).unwrap();
-    let mut parked = action.parked;
-
-    let mut sampler = Sampler::new(&chip);
+    let mut lp = ControlLoop::new(SimBackend::new(chip), &mut daemon).unwrap();
     let dt = Seconds(0.001);
-    let mut t = 0.0;
-    let mut next_control = 1.0;
+    let mut loads = Vec::with_capacity(SERVICE_CORES);
 
     // accumulate per half-day (peak = sin>0 half, trough = sin<0 half)
     let mut acc = [
@@ -92,7 +87,10 @@ fn run(policy: PolicyKind, limit: f64) -> (PhaseStats, PhaseStats) {
     let total = warmup + 2.0 * DAY;
     let mut p90_marks: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
 
-    while t < total {
+    while lp.elapsed().value() < total {
+        let t = lp.elapsed().value();
+        let (backend, parked) = lp.split_mut();
+        let chip = backend.chip_mut();
         let freqs: Vec<KiloHertz> = (0..SERVICE_CORES)
             .map(|c| {
                 if parked[c] {
@@ -102,8 +100,8 @@ fn run(policy: PolicyKind, limit: f64) -> (PhaseStats, PhaseStats) {
                 }
             })
             .collect();
-        let loads = service.advance(dt, &freqs);
-        for (c, load) in loads.into_iter().enumerate() {
+        service.advance_into(dt, &freqs, &mut loads);
+        for (c, &load) in loads.iter().enumerate() {
             if parked[c] {
                 continue;
             }
@@ -117,29 +115,20 @@ fn run(policy: PolicyKind, limit: f64) -> (PhaseStats, PhaseStats) {
             if parked[core] {
                 continue;
             }
-            let f = chip.effective_freq(core);
-            let out = app.advance(dt, f);
-            chip.set_load(core, out.load).unwrap();
-            chip.add_instructions(core, out.instructions).unwrap();
+            let out = app.run_on(chip, core, dt).unwrap();
             if t >= warmup {
                 acc[phase_idx].1 += out.instructions;
             }
         }
-        chip.tick(dt);
+        let crossed = lp.advance(dt);
         if t >= warmup {
-            acc[phase_idx].2 += chip.package_power().value() * dt.value();
+            acc[phase_idx].2 += lp.split_mut().0.chip().package_power().value() * dt.value();
             acc[phase_idx].3 += 1;
         }
-        t += dt.value();
 
-        if t + 1e-9 >= next_control {
-            next_control += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
-                let _ = daemon.try_step_view(&sample);
-                let action = daemon.action();
-                action.apply(&mut chip).unwrap();
-                parked.copy_from_slice(action.parked);
-            }
+        if crossed {
+            lp.control(&mut daemon).unwrap();
+            let t = lp.elapsed().value();
             // sample the service tail once per second into the phase
             // bucket, then restart the window
             if t >= warmup {

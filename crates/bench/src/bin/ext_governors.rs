@@ -12,7 +12,7 @@ use pap_bench::{f1, Table};
 use pap_simcpu::chip::Chip;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::Seconds;
-use pap_telemetry::sampler::Sampler;
+use pap_telemetry::sampler::{Sample, Sampler};
 use pap_workloads::latency::{ClosedLoopService, DemandShape, ServiceConfig};
 use powerd::governor::Governor;
 
@@ -36,6 +36,8 @@ fn run(gov: Governor) -> (f64, f64, f64) {
     chip.set_requested_freq(0, freq).unwrap();
 
     let mut sampler = Sampler::new(&chip);
+    let mut s = Sample::empty();
+    let mut loads = Vec::with_capacity(1);
     let dt = Seconds(0.001);
     let mut power_acc = 0.0;
     let mut samples = 0.0;
@@ -46,7 +48,7 @@ fn run(gov: Governor) -> (f64, f64, f64) {
 
     while t < 70.0 {
         let f = chip.effective_freq(0);
-        let loads = svc.advance(dt, &[f]);
+        svc.advance_into(dt, &[f], &mut loads);
         chip.set_load(0, loads[0]).unwrap();
         chip.tick(dt);
         t += dt.value();
@@ -57,7 +59,7 @@ fn run(gov: Governor) -> (f64, f64, f64) {
         }
         if t + 1e-9 >= next_eval {
             next_eval += 0.1;
-            if let Some(s) = sampler.sample(&chip) {
+            if sampler.sample_into(&chip, &mut s) {
                 let util = s.cores[0].rates.c0_residency;
                 freq = gov.next_freq(&grid, freq, util);
                 chip.set_requested_freq(0, freq).unwrap();

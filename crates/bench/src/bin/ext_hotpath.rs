@@ -48,10 +48,16 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const WARMUP: usize = 300;
 /// Distinct pre-synthesized telemetry samples cycled during the run.
 const SAMPLE_CYCLE: usize = 512;
-/// Timing trials per path; the best (fastest) trial is reported so a
-/// scheduler hiccup on a shared CI runner can't fail the perf gate.
-/// Allocation counting spans *all* view-path trials.
-const TRIALS: usize = 3;
+/// Timing trials per path; the median trial is reported. Allocation
+/// counting spans *all* view-path trials.
+const TRIALS: usize = 7;
+/// Chunks each trial is split into. View and owned chunks alternate (and
+/// alternate which goes first), so host noise on a shared runner hits
+/// both paths alike.
+const CHUNKS: usize = 20;
+/// Timing trials per simulator in the wide-chip sweep; the best
+/// (fastest) trial is reported.
+const WIDE_TRIALS: usize = 3;
 
 fn skylake_apps() -> Vec<AppSpec> {
     vec![
@@ -165,8 +171,25 @@ fn make_daemon(
     Daemon::new(config, platform).expect("valid bench config")
 }
 
+/// Time `steps` steady-state steps starting at sample `at`; with `copy`,
+/// each step also copies the action out of the arena (the owned path).
+fn timed_steps(d: &mut Daemon, samples: &[Sample], at: usize, steps: usize, copy: bool) -> f64 {
+    let started = Instant::now();
+    if copy {
+        for i in at..at + steps {
+            let _ = d.try_step_view(&samples[i % SAMPLE_CYCLE]);
+            let _ = d.action().to_owned();
+        }
+    } else {
+        for i in at..at + steps {
+            let _ = d.try_step_view(&samples[i % SAMPLE_CYCLE]);
+        }
+    }
+    started.elapsed().as_secs_f64()
+}
+
 /// Run one scenario: warm up, then measure the zero-alloc view path and
-/// (on a fresh daemon, same telemetry) the owning path.
+/// the owning path in interleaved trials.
 fn run_scenario(
     name: &str,
     policy: PolicyKind,
@@ -180,40 +203,40 @@ fn run_scenario(
         .map(|i| synth_sample(i, platform, apps, limit))
         .collect();
 
-    // View path: steady-state allocation count plus throughput.
+    // One daemon runs both paths, so its heap placement (which moves from
+    // run to run) cannot favour either.
     let mut d = make_daemon(policy, platform, apps, translation, limit);
     d.initial();
     for i in 0..WARMUP {
         let _ = d.try_step_view(&samples[i % SAMPLE_CYCLE]);
     }
-    let before = AllocCounter::snapshot();
-    let mut view_secs = f64::INFINITY;
-    for _ in 0..TRIALS {
-        let started = Instant::now();
-        for i in 0..steps {
-            let _ = d.try_step_view(&samples[(WARMUP + i) % SAMPLE_CYCLE]);
+    let mut at = WARMUP;
+    let mut view_secs = [0.0; TRIALS];
+    let mut owned_secs = [0.0; TRIALS];
+    let (mut alloc_events, mut alloc_bytes) = (0, 0);
+    for k in 0..TRIALS {
+        for c in 0..CHUNKS {
+            let n = steps * (c + 1) / CHUNKS - steps * c / CHUNKS;
+            for copy in [c % 2 == 1, c % 2 == 0] {
+                let before = AllocCounter::snapshot();
+                let secs = timed_steps(&mut d, &samples, at, n, copy);
+                at += n;
+                if copy {
+                    owned_secs[k] += secs;
+                } else {
+                    let after = AllocCounter::snapshot();
+                    alloc_events += after.events_since(&before);
+                    alloc_bytes += after.bytes_since(&before);
+                    view_secs[k] += secs;
+                }
+            }
         }
-        view_secs = view_secs.min(started.elapsed().as_secs_f64());
     }
-    let after = AllocCounter::snapshot();
-
-    // Owned copy: identical telemetry, fresh daemon, the same step plus
-    // the action copied out of the arena every interval.
-    let mut d = make_daemon(policy, platform, apps, translation, limit);
-    d.initial();
-    for i in 0..WARMUP {
-        let _ = d.try_step_view(&samples[i % SAMPLE_CYCLE]);
-        let _ = d.action().to_owned();
-    }
-    let mut owned_secs = f64::INFINITY;
-    for _ in 0..TRIALS {
-        let started = Instant::now();
-        for i in 0..steps {
-            let _ = d.try_step_view(&samples[(WARMUP + i) % SAMPLE_CYCLE]);
-            let _ = d.action().to_owned();
-        }
-        owned_secs = owned_secs.min(started.elapsed().as_secs_f64());
-    }
+    let median = |secs: &mut [f64; TRIALS]| {
+        secs.sort_by(f64::total_cmp);
+        secs[TRIALS / 2]
+    };
+    let (view_secs, owned_secs) = (median(&mut view_secs), median(&mut owned_secs));
 
     ScenarioResult {
         name: name.to_string(),
@@ -223,8 +246,8 @@ fn run_scenario(
             TranslationKind::Online => "online",
         },
         steps,
-        alloc_events: after.events_since(&before),
-        alloc_bytes: after.bytes_since(&before),
+        alloc_events,
+        alloc_bytes,
         steps_per_sec_view: steps as f64 / view_secs,
         steps_per_sec_owned: steps as f64 / owned_secs,
     }
@@ -327,7 +350,7 @@ fn sweep_chip(n: usize, ticks: usize) -> (f64, WideFingerprint) {
     };
     drive(&mut chip, WIDE_WARMUP_TICKS);
     let mut best = f64::INFINITY;
-    for _ in 0..TRIALS {
+    for _ in 0..WIDE_TRIALS {
         let started = Instant::now();
         drive(&mut chip, ticks);
         best = best.min(started.elapsed().as_secs_f64());
@@ -366,7 +389,7 @@ fn sweep_wide(n: usize, ticks: usize) -> (f64, WideFingerprint) {
     };
     drive(&mut chip, WIDE_WARMUP_TICKS);
     let mut best = f64::INFINITY;
-    for _ in 0..TRIALS {
+    for _ in 0..WIDE_TRIALS {
         let started = Instant::now();
         drive(&mut chip, ticks);
         best = best.min(started.elapsed().as_secs_f64());

@@ -37,10 +37,7 @@ fn probe_app(profile: WorkloadProfile) -> (f64, f64, f64) {
     let mut settled_intervals = 0;
     let mut ips = 0.0;
     while settled_intervals < 8 && t < 120.0 {
-        let f = chip.effective_freq(0);
-        let out = app.advance(dt, f);
-        chip.set_load(0, out.load).unwrap();
-        chip.add_instructions(0, out.instructions).unwrap();
+        let out = app.run_on(&mut chip, 0, dt).unwrap();
         instr_at_interval += out.instructions;
         chip.tick(dt);
         t += dt.value();

@@ -32,12 +32,12 @@ use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
-use pap_telemetry::sampler::Sampler;
 use pap_workloads::engine::RunningApp;
 use pap_workloads::phases::PhasedProfile;
 use pap_workloads::spec;
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind, Priority, TranslationKind};
 use powerd::daemon::Daemon;
+use powerd::hw::{ControlLoop, SimBackend};
 use powerd::prelude::{ModelConfig, ModelSnapshot};
 use powerd::runner::standalone_freq;
 
@@ -123,7 +123,7 @@ fn run(kind: TranslationKind, never_confident: bool, seed: u64) -> Outcome {
     let mut config = DaemonConfig::new(PolicyKind::FrequencyShares, Watts(SCHEDULE[0].1), apps);
     config.translation = kind;
 
-    let mut chip = Chip::new(platform.clone());
+    let chip = Chip::new(platform.clone());
     let mut daemon = Daemon::new(config, &platform).expect("valid config");
     if never_confident {
         daemon.set_model_config(ModelConfig::never_confident());
@@ -139,48 +139,33 @@ fn run(kind: TranslationKind, never_confident: bool, seed: u64) -> Outcome {
         })
         .collect();
 
-    let action = daemon.initial();
-    action.view().apply(&mut chip).expect("valid action");
-    let mut parked = action.parked;
-
-    let mut sampler = Sampler::new(&chip);
+    let mut lp = ControlLoop::new(SimBackend::new(chip), &mut daemon).expect("valid action");
     let mut retargets: Vec<Retarget> = schedule();
     retargets.sort_by(|a, b| a.at.total_cmp(&b.at));
     let mut next_retarget = 0;
 
     let mut freqs_log = Vec::new();
     let mut power_log = Vec::new();
-    let mut t = 0.0;
-    let mut next_control = 1.0;
-    while t < DURATION.value() {
+    while lp.elapsed() < DURATION {
+        let t = lp.elapsed().value();
         if next_retarget < retargets.len() && t + 1e-9 >= retargets[next_retarget].at {
             daemon
                 .retarget_budget(Watts(retargets[next_retarget].cap))
                 .expect("cap within RAPL range");
             next_retarget += 1;
         }
+        let (backend, parked) = lp.split_mut();
         for (i, app) in engines.iter_mut().enumerate() {
-            if parked[i] {
-                continue;
+            if !parked[i] {
+                app.run_on(backend.chip_mut(), i, TICK)
+                    .expect("core in range");
             }
-            let f = chip.effective_freq(i);
-            let out = app.advance(TICK, f);
-            chip.set_load(i, out.load).expect("core in range");
-            chip.add_instructions(i, out.instructions)
-                .expect("core in range");
         }
-        chip.tick(TICK);
-        t += TICK.value();
 
-        if t + 1e-9 >= next_control {
-            next_control += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
+        if lp.advance(TICK) {
+            if let Some(sample) = lp.control(&mut daemon).expect("valid action") {
                 power_log.push(sample.package_power.value());
-                let _ = daemon.try_step_view(&sample);
-                let action = daemon.action();
-                action.apply(&mut chip).expect("valid action");
-                parked.copy_from_slice(action.parked);
-                freqs_log.push(action.freqs.to_vec());
+                freqs_log.push(daemon.action().freqs.to_vec());
             }
         }
     }

@@ -14,12 +14,12 @@ use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
-use pap_telemetry::sampler::Sampler;
 use pap_workloads::engine::RunningApp;
 use pap_workloads::multithread::MtWorkload;
 use pap_workloads::spec;
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind, Priority};
 use powerd::daemon::Daemon;
+use powerd::hw::{ControlLoop, SimBackend};
 
 const MT_CORES: usize = 5;
 
@@ -33,7 +33,7 @@ struct Outcome {
 
 fn run(policy: PolicyKind) -> Outcome {
     let platform = PlatformSpec::skylake();
-    let mut chip = Chip::new(platform.clone());
+    let chip = Chip::new(platform.clone());
     let mut mt = MtWorkload::new(spec::LEELA, 0.3, MT_CORES);
     let mut st: Vec<RunningApp> = (0..5).map(|_| RunningApp::looping(spec::LEELA)).collect();
 
@@ -58,12 +58,8 @@ fn run(policy: PolicyKind) -> Outcome {
     }
     let config = DaemonConfig::new(policy, Watts(42.0), apps);
     let mut daemon = Daemon::new(config, &platform).unwrap();
-    daemon.initial().view().apply(&mut chip).unwrap();
-
-    let mut sampler = Sampler::new(&chip);
+    let mut lp = ControlLoop::new(SimBackend::new(chip), &mut daemon).unwrap();
     let dt = Seconds(0.002);
-    let mut t = 0.0;
-    let mut next = 1.0;
     let warmup = 15.0;
     let mut st_instr = 0u64;
     let mut mt_useful_at_warmup = 0u64;
@@ -72,7 +68,9 @@ fn run(policy: PolicyKind) -> Outcome {
     let mut st_mhz = 0.0;
     let mut samples = 0.0;
 
-    while t < 75.0 {
+    while lp.elapsed().value() < 75.0 {
+        let t = lp.elapsed().value();
+        let chip = lp.split_mut().0.chip_mut();
         let freqs: Vec<KiloHertz> = (0..MT_CORES).map(|c| chip.effective_freq(c)).collect();
         let steps = mt.advance(dt, &freqs);
         for (c, s) in steps.iter().enumerate() {
@@ -81,25 +79,19 @@ fn run(policy: PolicyKind) -> Outcome {
         }
         for (i, app) in st.iter_mut().enumerate() {
             let core = MT_CORES + i;
-            let f = chip.effective_freq(core);
-            let out = app.advance(dt, f);
-            chip.set_load(core, out.load).unwrap();
+            let out = app.run_on(chip, core, dt).unwrap();
             if t >= warmup {
                 st_instr += out.instructions;
             }
-            chip.add_instructions(core, out.instructions).unwrap();
         }
-        chip.tick(dt);
-        t += dt.value();
+        let crossed = lp.advance(dt);
+        let t = lp.elapsed().value();
         if (t - warmup).abs() < dt.value() / 2.0 {
             mt_useful_at_warmup = mt.useful_retired();
             mt_counter_at_warmup = mt.counter_retired();
         }
-        if t + 1e-9 >= next {
-            next += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
-                let _ = daemon.try_step_view(&sample);
-                daemon.action().apply(&mut chip).unwrap();
+        if crossed {
+            if let Some(sample) = lp.control(&mut daemon).unwrap() {
                 if t >= warmup {
                     mt_mhz += (0..MT_CORES)
                         .map(|c| sample.cores[c].rates.active_freq.mhz() as f64)

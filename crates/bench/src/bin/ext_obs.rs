@@ -29,7 +29,7 @@ use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
 use pap_telemetry::metrics::ControlMetrics;
-use pap_telemetry::sampler::Sampler;
+use pap_telemetry::sampler::{Sample, Sampler};
 use pap_workloads::engine::RunningApp;
 use pap_workloads::phases::PhasedProfile;
 use pap_workloads::spec;
@@ -107,6 +107,7 @@ fn run(
     let mut parked = action.parked;
 
     let mut sampler = Sampler::new(&chip);
+    let mut sample = Sample::empty();
     let mut freqs_log = Vec::new();
     let mut parked_log = Vec::new();
     let mut step_seconds = 0.0;
@@ -115,21 +116,16 @@ fn run(
     let mut next_control = 1.0;
     while t < DURATION.value() {
         for (i, app) in engines.iter_mut().enumerate() {
-            if parked[i] {
-                continue;
+            if !parked[i] {
+                app.run_on(&mut chip, i, TICK).expect("core in range");
             }
-            let f = chip.effective_freq(i);
-            let out = app.advance(TICK, f);
-            chip.set_load(i, out.load).expect("core in range");
-            chip.add_instructions(i, out.instructions)
-                .expect("core in range");
         }
         chip.tick(TICK);
         t += TICK.value();
 
         if t + 1e-9 >= next_control {
             next_control += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
+            if sampler.sample_into(&chip, &mut sample) {
                 let started = Instant::now();
                 let _ = daemon.try_step_view(&sample);
                 let action = daemon.action().to_owned();

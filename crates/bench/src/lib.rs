@@ -18,7 +18,7 @@ use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
-use pap_telemetry::sampler::Sampler;
+use pap_telemetry::sampler::{Sample, Sampler};
 use pap_telemetry::trace::Trace;
 use pap_workloads::engine::RunningApp;
 use pap_workloads::profile::WorkloadProfile;
@@ -71,6 +71,7 @@ pub fn run_fixed(
     let tick = Seconds(0.002);
     let warmup = Seconds(3.0);
     let mut sampler = Sampler::new(&chip);
+    let mut sample = Sample::empty();
     let mut trace = Trace::new();
     let total = warmup.value() + duration.value();
     let mut t = 0.0;
@@ -78,18 +79,15 @@ pub fn run_fixed(
     while t < total {
         for (core, slot) in apps.iter_mut().enumerate() {
             if let Some(app) = slot {
-                let f = chip.effective_freq(core);
-                let out = app.advance(tick, f);
-                chip.set_load(core, out.load).unwrap();
-                chip.add_instructions(core, out.instructions).unwrap();
+                app.run_on(&mut chip, core, tick).expect("core in range");
             }
         }
         chip.tick(tick);
         t += tick.value();
         if t + 1e-9 >= next_sample {
             next_sample += 1.0;
-            if let Some(s) = sampler.sample(&chip) {
-                trace.push(s);
+            if sampler.sample_into(&chip, &mut sample) {
+                trace.push(std::mem::take(&mut sample));
             }
         }
     }

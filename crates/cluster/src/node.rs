@@ -24,7 +24,7 @@ use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
 use pap_simcpu::widechip::WideChip;
 use pap_telemetry::rollup::NodeTelemetry;
-use pap_telemetry::sampler::Sampler;
+use pap_telemetry::sampler::{Sample, Sampler};
 use pap_workloads::engine::RunningApp;
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind, TranslationKind};
 use powerd::daemon::{Daemon, DaemonError};
@@ -48,6 +48,8 @@ pub struct Node<C: ChipLike = WideChip> {
     chip: C,
     daemon: Daemon,
     sampler: Sampler,
+    /// The interval's telemetry, reused across intervals.
+    sample: Sample,
     apps: Vec<ResidentApp>,
     parked: Vec<bool>,
     cap: Watts,
@@ -97,12 +99,17 @@ impl<C: ChipLike> Node<C> {
             .apply(&mut chip)
             .expect("daemon emits grid/slot-valid frequencies");
         let sampler = Sampler::new(&chip);
+        let sample = Sample {
+            cores: Vec::with_capacity(platform.num_cores),
+            ..Sample::empty()
+        };
         Ok(Node {
             id,
             platform,
             chip,
             daemon,
             sampler,
+            sample,
             apps: Vec::new(),
             parked: action.parked,
             cap,
@@ -286,11 +293,9 @@ impl<C: ChipLike> Node<C> {
                 .add_instructions(app.spec.core, credit)
                 .expect("core in range");
         }
-        let sample = self
-            .sampler
-            .sample(&self.chip)
-            .expect("a whole control interval elapsed");
-        let _ = self.daemon.try_step_view(&sample);
+        let sampled = self.sampler.sample_into(&self.chip, &mut self.sample);
+        assert!(sampled, "a whole control interval elapsed");
+        let _ = self.daemon.try_step_view(&self.sample);
         let action = self.daemon.action();
         action
             .apply(&mut self.chip)
@@ -298,7 +303,7 @@ impl<C: ChipLike> Node<C> {
         self.parked.copy_from_slice(action.parked);
         NodeTelemetry::from_sample(
             self.id,
-            &sample,
+            &self.sample,
             self.cap,
             self.busy_cores(),
             self.total_shares(),

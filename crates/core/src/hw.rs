@@ -13,9 +13,10 @@
 //!   works against this backend ports to real hardware by swapping the
 //!   file I/O in.
 //!
-//! [`run_daemon`] is the §5 monitoring loop over any backend.
+//! [`ControlLoop`] is the §5 monitoring loop over any backend.
 
 use pap_simcpu::chip::Chip;
+use pap_simcpu::chiplike::ChipLike;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::msr::{addr, MsrBus};
 use pap_simcpu::platform::{PlatformSpec, Vendor};
@@ -24,7 +25,7 @@ use pap_simcpu::units::Seconds;
 use pap_telemetry::counters::{core_rates, power_from_energy};
 use pap_telemetry::sampler::{CoreSample, Sample, Sampler};
 
-use crate::daemon::{ControlAction, Daemon};
+use crate::daemon::{ActionView, Daemon};
 
 /// The hardware access surface the daemon's host loop needs.
 pub trait PowerBackend {
@@ -36,51 +37,52 @@ pub trait PowerBackend {
     fn sample(&mut self) -> Option<Sample>;
 
     /// Program a control action (frequencies + parking).
-    fn apply(&mut self, action: &ControlAction) -> Result<(), String>;
+    fn apply(&mut self, action: ActionView<'_>) -> Result<(), String>;
 
     /// Advance simulated time (no-op on real hardware, where wall time
     /// passes by itself).
     fn advance(&mut self, dt: Seconds);
 }
 
-/// Direct-chip backend.
-pub struct SimBackend {
-    chip: Chip,
+/// Direct-chip backend, over either simulator (the scalar [`Chip`] by
+/// default, or the SoA `WideChip`).
+pub struct SimBackend<C: ChipLike = Chip> {
+    chip: C,
     sampler: Sampler,
 }
 
-impl SimBackend {
+impl<C: ChipLike> SimBackend<C> {
     /// Wrap a chip.
-    pub fn new(chip: Chip) -> SimBackend {
+    pub fn new(chip: C) -> SimBackend<C> {
         let sampler = Sampler::new(&chip);
         SimBackend { chip, sampler }
     }
 
     /// Access the chip (e.g. for workload driving).
-    pub fn chip_mut(&mut self) -> &mut Chip {
+    pub fn chip_mut(&mut self) -> &mut C {
         &mut self.chip
     }
 
     /// Read-only chip access.
-    pub fn chip(&self) -> &Chip {
+    pub fn chip(&self) -> &C {
         &self.chip
     }
 }
 
-impl PowerBackend for SimBackend {
+impl<C: ChipLike> PowerBackend for SimBackend<C> {
     fn platform(&self) -> &PlatformSpec {
         self.chip.spec()
     }
 
     fn sample(&mut self) -> Option<Sample> {
-        self.sampler.sample(&self.chip)
+        let mut out = Sample::empty();
+        self.sampler
+            .sample_into(&self.chip, &mut out)
+            .then_some(out)
     }
 
-    fn apply(&mut self, action: &ControlAction) -> Result<(), String> {
-        action
-            .view()
-            .apply(&mut self.chip)
-            .map_err(|e| e.to_string())
+    fn apply(&mut self, action: ActionView<'_>) -> Result<(), String> {
+        action.apply(&mut self.chip).map_err(|e| e.to_string())
     }
 
     fn advance(&mut self, dt: Seconds) {
@@ -235,7 +237,7 @@ impl PowerBackend for MsrSysfsBackend {
         })
     }
 
-    fn apply(&mut self, action: &ControlAction) -> Result<(), String> {
+    fn apply(&mut self, action: ActionView<'_>) -> Result<(), String> {
         {
             let mut fs = SysfsTree::new(&mut self.chip);
             for (c, f) in action.freqs.iter().enumerate() {
@@ -261,41 +263,95 @@ impl PowerBackend for MsrSysfsBackend {
     }
 }
 
-/// Drive a daemon over a backend for `duration`, invoking `drive` each
-/// tick so the caller can advance its workloads. This is the §5
-/// monitoring loop, backend-agnostic.
-pub fn run_daemon<B: PowerBackend>(
-    backend: &mut B,
-    daemon: &mut Daemon,
-    duration: Seconds,
-    tick: Seconds,
-    mut drive: impl FnMut(&mut B, &ControlAction),
-) -> Result<(), String> {
-    let mut action = daemon.initial();
-    backend.apply(&action)?;
-    let interval = daemon.config().control_interval.value();
-    let mut t = 0.0;
-    let mut next = interval;
-    while t < duration.value() {
-        drive(backend, &action);
-        backend.advance(tick);
-        t += tick.value();
-        if t + 1e-9 >= next {
-            next += interval;
-            if let Some(sample) = backend.sample() {
-                let _ = daemon.try_step_view(&sample);
-                action = daemon.action().to_owned();
-                backend.apply(&action)?;
-            }
+/// The §5 monitoring loop over any backend: once per control interval
+/// it samples, steps the daemon and programs the action in force.
+///
+/// The caller owns the [`Daemon`] (so it can admit apps, retarget
+/// shares or read the model between steps) and drives its workloads
+/// each tick:
+///
+/// ```text
+/// while lp.elapsed() < duration {
+///     let (backend, parked) = lp.split_mut();   // run unparked apps
+///     if lp.advance(tick) {
+///         lp.control(&mut daemon)?;
+///     }
+/// }
+/// ```
+pub struct ControlLoop<B: PowerBackend> {
+    backend: B,
+    /// Park flags of the action last programmed into the backend.
+    parked: Vec<bool>,
+    interval: f64,
+    t: f64,
+    next: f64,
+}
+
+impl<B: PowerBackend> ControlLoop<B> {
+    /// Program the daemon's initial distribution and start the clock at 0.
+    pub fn new(mut backend: B, daemon: &mut Daemon) -> Result<Self, String> {
+        let initial = daemon.initial();
+        backend.apply(initial.view())?;
+        let interval = daemon.config().control_interval.value();
+        Ok(ControlLoop {
+            backend,
+            parked: initial.parked,
+            interval,
+            t: 0.0,
+            next: interval,
+        })
+    }
+
+    /// Advance the backend by `dt`; true when a control-interval boundary
+    /// was crossed (the caller then calls [`ControlLoop::control`]).
+    pub fn advance(&mut self, dt: Seconds) -> bool {
+        self.backend.advance(dt);
+        self.t += dt.value();
+        if self.t + 1e-9 >= self.next {
+            self.next += self.interval;
+            true
+        } else {
+            false
         }
     }
-    Ok(())
+
+    /// One control interval: sample, step the daemon and program the
+    /// action in force — the new decision, or the held one when the
+    /// sample is malformed. Returns the sample, or `None` (nothing
+    /// programmed) if no time passed since the previous sample.
+    pub fn control(&mut self, daemon: &mut Daemon) -> Result<Option<Sample>, String> {
+        let Some(sample) = self.backend.sample() else {
+            return Ok(None);
+        };
+        let _ = daemon.try_step_view(&sample);
+        let action = daemon.action();
+        self.backend.apply(action)?;
+        self.parked.copy_from_slice(action.parked);
+        Ok(Some(sample))
+    }
+
+    /// The backend (for workload driving) and the park flags last
+    /// programmed into it: parked cores run no workload.
+    pub fn split_mut(&mut self) -> (&mut B, &[bool]) {
+        (&mut self.backend, &self.parked)
+    }
+
+    /// Time advanced since [`ControlLoop::new`].
+    pub fn elapsed(&self) -> Seconds {
+        Seconds(self.t)
+    }
+
+    /// Give the backend back.
+    pub fn into_backend(self) -> B {
+        self.backend
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{AppSpec, DaemonConfig, PolicyKind};
+    use crate::daemon::ControlAction;
     use pap_simcpu::units::Watts;
     use pap_workloads::engine::RunningApp;
     use pap_workloads::spec;
@@ -316,37 +372,46 @@ mod tests {
         .expect("valid daemon")
     }
 
-    fn drive_two_apps(
-        apps: &mut [RunningApp; 2],
-        chip: &mut Chip,
-        action: &ControlAction,
-        tick: Seconds,
-    ) {
+    fn drive_two_apps(apps: &mut [RunningApp; 2], chip: &mut Chip, parked: &[bool], tick: Seconds) {
         for (c, app) in apps.iter_mut().enumerate() {
-            if action.parked[c] {
-                continue;
+            if !parked[c] {
+                app.run_on(chip, c, tick).unwrap();
             }
-            let f = chip.effective_freq(c);
-            let out = app.advance(tick, f);
-            chip.set_load(c, out.load).unwrap();
-            chip.add_instructions(c, out.instructions).unwrap();
         }
     }
 
-    #[test]
-    fn sim_backend_converges() {
-        let platform = PlatformSpec::skylake();
-        let mut backend = SimBackend::new(Chip::new(platform.clone()));
-        let mut d = daemon(&platform, 26.0);
+    /// Run the two-app daemon for 20 s over `backend`, reaching the chip
+    /// through `chip_mut` to drive the workloads.
+    fn run_two_apps<B: PowerBackend>(
+        backend: B,
+        d: &mut Daemon,
+        chip_mut: fn(&mut B) -> &mut Chip,
+    ) -> B {
         let mut apps = [
             RunningApp::looping(spec::CACTUS_BSSN),
             RunningApp::looping(spec::LEELA),
         ];
         let tick = Seconds(0.002);
-        run_daemon(&mut backend, &mut d, Seconds(20.0), tick, |b, action| {
-            drive_two_apps(&mut apps, b.chip_mut(), action, tick);
-        })
-        .unwrap();
+        let mut lp = ControlLoop::new(backend, d).unwrap();
+        while lp.elapsed() < Seconds(20.0) {
+            let (b, parked) = lp.split_mut();
+            drive_two_apps(&mut apps, chip_mut(b), parked, tick);
+            if lp.advance(tick) {
+                lp.control(d).unwrap();
+            }
+        }
+        lp.into_backend()
+    }
+
+    #[test]
+    fn sim_backend_converges() {
+        let platform = PlatformSpec::skylake();
+        let mut d = daemon(&platform, 26.0);
+        let backend = run_two_apps(
+            SimBackend::new(Chip::new(platform.clone())),
+            &mut d,
+            SimBackend::chip_mut,
+        );
         let p = backend.chip().package_power().value();
         assert!((p - 26.0).abs() < 3.0, "package {p:.1} vs 26 W");
     }
@@ -356,46 +421,128 @@ mod tests {
         // The same daemon run through the file/MSR surface must land at
         // the same operating point as direct chip access.
         let platform = PlatformSpec::skylake();
-        let tick = Seconds(0.002);
-
-        let run = |direct: bool| -> (f64, u64, u64) {
-            let mut d = daemon(&platform, 26.0);
-            let mut apps = [
-                RunningApp::looping(spec::CACTUS_BSSN),
-                RunningApp::looping(spec::LEELA),
-            ];
-            if direct {
-                let mut b = SimBackend::new(Chip::new(platform.clone()));
-                run_daemon(&mut b, &mut d, Seconds(20.0), tick, |b, a| {
-                    drive_two_apps(&mut apps, b.chip_mut(), a, tick)
-                })
-                .unwrap();
-                (
-                    b.chip().package_power().value(),
-                    b.chip().effective_freq(0).khz(),
-                    b.chip().effective_freq(1).khz(),
-                )
-            } else {
-                let mut b = MsrSysfsBackend::new(Chip::new(platform.clone()));
-                run_daemon(&mut b, &mut d, Seconds(20.0), tick, |b, a| {
-                    drive_two_apps(&mut apps, b.chip_mut(), a, tick)
-                })
-                .unwrap();
-                (
-                    b.chip_mut().package_power().value(),
-                    b.chip_mut().effective_freq(0).khz(),
-                    b.chip_mut().effective_freq(1).khz(),
-                )
-            }
+        let observe = |chip: &Chip| {
+            (
+                chip.package_power().value(),
+                chip.effective_freq(0).khz(),
+                chip.effective_freq(1).khz(),
+            )
         };
-        let (p_direct, f0_direct, f1_direct) = run(true);
-        let (p_msr, f0_msr, f1_msr) = run(false);
+        let mut b = run_two_apps(
+            SimBackend::new(Chip::new(platform.clone())),
+            &mut daemon(&platform, 26.0),
+            SimBackend::chip_mut,
+        );
+        let (p_direct, f0_direct, f1_direct) = observe(b.chip_mut());
+        let mut b = run_two_apps(
+            MsrSysfsBackend::new(Chip::new(platform.clone())),
+            &mut daemon(&platform, 26.0),
+            MsrSysfsBackend::chip_mut,
+        );
+        let (p_msr, f0_msr, f1_msr) = observe(b.chip_mut());
         assert!(
             (p_direct - p_msr).abs() < 1.0,
             "package power {p_direct:.1} vs {p_msr:.1}"
         );
         assert_eq!(f0_direct, f0_msr, "core 0 frequency must match exactly");
         assert_eq!(f1_direct, f1_msr, "core 1 frequency must match exactly");
+    }
+
+    #[test]
+    fn control_boundaries_match_the_inline_cadence() {
+        // 1 s interval over 60 s: 60 boundaries at every tick size, each
+        // on the tick the inline `t + 1e-9 >= next` arithmetic picks.
+        let platform = PlatformSpec::skylake();
+        for dt in [0.001, 0.002, 0.1, 1.0] {
+            let mut d = daemon(&platform, 26.0);
+            assert_eq!(d.config().control_interval, Seconds(1.0));
+            let chip = Chip::new(platform.clone());
+            let mut lp = ControlLoop::new(SimBackend::new(chip), &mut d).unwrap();
+            let (mut t, mut next, mut crossings) = (0.0, 1.0, 0);
+            while lp.elapsed() < Seconds(60.0) {
+                t += dt;
+                let inline = t + 1e-9 >= next;
+                if inline {
+                    next += 1.0;
+                    crossings += 1;
+                }
+                assert_eq!(lp.advance(Seconds(dt)), inline, "dt {dt} at {t} s");
+            }
+            assert_eq!(crossings, 60, "dt {dt}");
+        }
+    }
+
+    /// A [`SimBackend`] whose every third sample is truncated to core 0
+    /// (below app core 1), recording every action programmed into it.
+    struct TruncatingBackend {
+        inner: SimBackend,
+        samples: usize,
+        applied: Vec<ControlAction>,
+    }
+
+    impl PowerBackend for TruncatingBackend {
+        fn platform(&self) -> &PlatformSpec {
+            self.inner.platform()
+        }
+
+        fn sample(&mut self) -> Option<Sample> {
+            let mut s = self.inner.sample()?;
+            self.samples += 1;
+            if self.samples.is_multiple_of(3) {
+                s.cores.truncate(1);
+            }
+            Some(s)
+        }
+
+        fn apply(&mut self, action: ActionView<'_>) -> Result<(), String> {
+            self.applied.push(action.to_owned());
+            self.inner.apply(action)
+        }
+
+        fn advance(&mut self, dt: Seconds) {
+            self.inner.advance(dt);
+        }
+    }
+
+    #[test]
+    fn malformed_sample_reprograms_the_held_action() {
+        let platform = PlatformSpec::skylake();
+        let mut d = daemon(&platform, 26.0);
+        let backend = TruncatingBackend {
+            inner: SimBackend::new(Chip::new(platform.clone())),
+            samples: 0,
+            applied: Vec::new(),
+        };
+        let mut apps = [
+            RunningApp::looping(spec::CACTUS_BSSN),
+            RunningApp::looping(spec::LEELA),
+        ];
+        let tick = Seconds(0.002);
+        let mut lp = ControlLoop::new(backend, &mut d).unwrap();
+        let (mut held, mut changed) = (0, 0);
+        while lp.elapsed() < Seconds(20.0) {
+            let (b, parked) = lp.split_mut();
+            drive_two_apps(&mut apps, b.inner.chip_mut(), parked, tick);
+            if !lp.advance(tick) {
+                continue;
+            }
+            let sample = lp.control(&mut d).unwrap().expect("an interval elapsed");
+            let (b, parked) = lp.split_mut();
+            let [.., prev, last] = &b.applied[..] else {
+                panic!("every sample programs an action");
+            };
+            assert_eq!(b.applied.len(), b.samples + 1, "initial + one per sample");
+            assert_eq!(parked, &last.parked[..]);
+            if sample.cores.len() == 1 {
+                held += 1;
+                assert_eq!(last, prev, "a malformed sample reprograms the held action");
+                assert_eq!(parked, &prev.parked[..], "holding keeps the park flags");
+            } else if last != prev {
+                changed += 1;
+            }
+        }
+        assert_eq!(held, 6, "samples 3, 6, ..., 18 are truncated");
+        assert!(changed > 0, "the daemon moved between holds");
     }
 
     #[test]

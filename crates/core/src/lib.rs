@@ -81,6 +81,7 @@ pub mod runner;
 pub mod prelude {
     pub use crate::config::{AppSpec, DaemonConfig, PolicyKind, Priority, TranslationKind};
     pub use crate::daemon::{ControlAction, Daemon};
+    pub use crate::hw::{ControlLoop, SimBackend};
     pub use crate::obs::{AppDecision, DecisionEvent, DecisionRecord, DecisionTrace};
     pub use crate::policy::{Policy, PolicyCtx, PolicyInput, PolicyOutput};
     pub use crate::resilience::{

@@ -13,7 +13,6 @@ use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
-use pap_telemetry::sampler::Sampler;
 use pap_telemetry::trace::Trace;
 use pap_workloads::engine::RunningApp;
 use pap_workloads::latency::{ClosedLoopService, ServiceConfig};
@@ -28,6 +27,7 @@ use pap_telemetry::metrics::ControlMetrics;
 
 use crate::config::{AppSpec, ControllerTuning, DaemonConfig, PolicyKind, Priority};
 use crate::daemon::Daemon;
+use crate::hw::{ControlLoop, SimBackend};
 use crate::obs::DecisionTrace;
 
 /// The standalone frequency the paper normalizes against: the app running
@@ -265,44 +265,22 @@ impl Experiment {
             })
             .collect();
 
-        let action = daemon.initial();
-        action
-            .view()
-            .apply(&mut chip)
-            .expect("daemon emits grid/slot-valid frequencies");
-        let mut parked = action.parked;
-
-        let mut sampler = Sampler::new(&chip);
+        let mut lp = ControlLoop::new(SimBackend::new(chip), &mut daemon)?;
         let mut trace = Trace::new();
         let interval = daemon.config().control_interval;
         let total = Seconds(self.duration.value() + self.warmup_samples as f64 * interval.value());
 
-        let mut t = 0.0;
-        let mut next_control = interval.value();
-        while t < total.value() {
+        while lp.elapsed() < total {
+            let (backend, parked) = lp.split_mut();
             for (i, app) in apps.iter_mut().enumerate() {
                 let core = self.entries[i].spec.core;
-                if parked[core] {
-                    continue;
+                if !parked[core] {
+                    app.run_on(backend.chip_mut(), core, self.tick)
+                        .map_err(|e| e.to_string())?;
                 }
-                let f = chip.effective_freq(core);
-                let out = app.advance(self.tick, f);
-                chip.set_load(core, out.load).map_err(|e| e.to_string())?;
-                chip.add_instructions(core, out.instructions)
-                    .map_err(|e| e.to_string())?;
             }
-            chip.tick(self.tick);
-            t += self.tick.value();
-
-            if t + 1e-9 >= next_control {
-                next_control += interval.value();
-                if let Some(sample) = sampler.sample(&chip) {
-                    let _ = daemon.try_step_view(&sample);
-                    let action = daemon.action();
-                    action
-                        .apply(&mut chip)
-                        .expect("daemon emits grid/slot-valid frequencies");
-                    parked.copy_from_slice(action.parked);
+            if lp.advance(self.tick) {
+                if let Some(sample) = lp.control(&mut daemon)? {
                     trace.push(sample);
                 }
             }
@@ -485,22 +463,15 @@ impl LatencyExperiment {
         let mut burn = self.colocated.map(RunningApp::looping);
         let burn_core = self.platform.num_cores - 1;
 
-        let action = daemon.initial();
-        action
-            .view()
-            .apply(&mut chip)
-            .expect("daemon emits grid/slot-valid frequencies");
-        let mut parked = action.parked;
-
-        let mut sampler = Sampler::new(&chip);
+        let mut lp = ControlLoop::new(SimBackend::new(chip), &mut daemon)?;
         let mut trace = Trace::new();
-        let interval = daemon.config().control_interval.value();
         let total = self.warmup.value() + self.duration.value();
-        let mut t = 0.0;
-        let mut next_control = interval;
         let mut stats_reset = false;
+        let mut loads = Vec::with_capacity(n);
 
-        while t < total {
+        while lp.elapsed().value() < total {
+            let (backend, parked) = lp.split_mut();
+            let chip = backend.chip_mut();
             // Service cores: only unparked cores serve.
             let freqs: Vec<KiloHertz> = (0..n)
                 .map(|c| {
@@ -511,8 +482,8 @@ impl LatencyExperiment {
                     }
                 })
                 .collect();
-            let loads = service.advance(self.tick, &freqs);
-            for (c, load) in loads.into_iter().enumerate() {
+            service.advance_into(self.tick, &freqs, &mut loads);
+            for (c, &load) in loads.iter().enumerate() {
                 if parked[c] {
                     continue;
                 }
@@ -524,30 +495,18 @@ impl LatencyExperiment {
             }
             if let Some(b) = burn.as_mut() {
                 if !parked[burn_core] {
-                    let f = chip.effective_freq(burn_core);
-                    let out = b.advance(self.tick, f);
-                    chip.set_load(burn_core, out.load)
-                        .map_err(|e| e.to_string())?;
-                    chip.add_instructions(burn_core, out.instructions)
+                    b.run_on(chip, burn_core, self.tick)
                         .map_err(|e| e.to_string())?;
                 }
             }
-            chip.tick(self.tick);
-            t += self.tick.value();
+            let boundary = lp.advance(self.tick);
 
-            if !stats_reset && t >= self.warmup.value() {
+            if !stats_reset && lp.elapsed() >= self.warmup {
                 service.reset_stats();
                 stats_reset = true;
             }
-            if t + 1e-9 >= next_control {
-                next_control += interval;
-                if let Some(sample) = sampler.sample(&chip) {
-                    let _ = daemon.try_step_view(&sample);
-                    let action = daemon.action();
-                    action
-                        .apply(&mut chip)
-                        .expect("daemon emits grid/slot-valid frequencies");
-                    parked.copy_from_slice(action.parked);
+            if boundary {
+                if let Some(sample) = lp.control(&mut daemon)? {
                     if stats_reset {
                         trace.push(sample);
                     }

@@ -40,7 +40,7 @@ use pap_simcpu::units::{Seconds, Watts};
 use pap_telemetry::counters::CoreRates;
 use pap_telemetry::health::{HealthTracker, SensorId};
 use pap_telemetry::sampler::{CoreSample, Sample};
-use powerd::daemon::ControlAction;
+use powerd::daemon::ActionView;
 use powerd::hw::PowerBackend;
 
 use crate::cpufreq::{self, WriteMode};
@@ -423,7 +423,7 @@ impl PowerBackend for LinuxBackend {
         })
     }
 
-    fn apply(&mut self, action: &ControlAction) -> Result<(), String> {
+    fn apply(&mut self, action: ActionView<'_>) -> Result<(), String> {
         let t = Seconds(self.clock.now());
         let n = self.cpus.len().min(action.freqs.len());
         for slot in 0..n {
@@ -527,11 +527,11 @@ mod tests {
     fn apply_writes_and_sample_reads_back() {
         let mock = MockSysfs::intel(2);
         let mut b = manual(false, &mock);
-        let action = ControlAction {
-            freqs: vec![KiloHertz(1_200_000), KiloHertz(2_600_000)],
-            parked: vec![false, false],
-        };
-        b.apply(&action).unwrap();
+        b.apply(ActionView {
+            freqs: &[KiloHertz(1_200_000), KiloHertz(2_600_000)],
+            parked: &[false, false],
+        })
+        .unwrap();
         // The fixture "hardware" settles on the programmed frequencies.
         mock.set_cur_khz(0, 1_200_000);
         mock.set_cur_khz(1, 2_600_000);
@@ -552,9 +552,9 @@ mod tests {
             .read_string("sys/devices/system/cpu/cpu0/cpufreq/scaling_setspeed")
             .unwrap();
         let mut b = manual(true, &mock);
-        b.apply(&ControlAction {
-            freqs: vec![KiloHertz(1_000_000), KiloHertz(1_000_000)],
-            parked: vec![false, false],
+        b.apply(ActionView {
+            freqs: &[KiloHertz(1_000_000), KiloHertz(1_000_000)],
+            parked: &[false, false],
         })
         .unwrap();
         let after = root
@@ -574,9 +574,9 @@ mod tests {
     fn parked_cores_pin_to_the_grid_floor() {
         let mock = MockSysfs::intel(2);
         let mut b = manual(false, &mock);
-        b.apply(&ControlAction {
-            freqs: vec![KiloHertz(2_000_000), KiloHertz(2_000_000)],
-            parked: vec![true, false],
+        b.apply(ActionView {
+            freqs: &[KiloHertz(2_000_000), KiloHertz(2_000_000)],
+            parked: &[true, false],
         })
         .unwrap();
         assert_eq!(
@@ -640,9 +640,9 @@ mod tests {
     fn schedutil_host_applies_via_max_freq_clamp() {
         let mock = MockSysfs::amd(1);
         let mut b = manual(false, &mock);
-        b.apply(&ControlAction {
-            freqs: vec![KiloHertz(1_800_000)],
-            parked: vec![false],
+        b.apply(ActionView {
+            freqs: &[KiloHertz(1_800_000)],
+            parked: &[false],
         })
         .unwrap();
         assert_eq!(
@@ -708,9 +708,9 @@ mod tests {
         let mock = MockSysfs::intel(2);
         let mut b = manual(false, &mock);
         let online = "sys/devices/system/cpu/cpu1/online";
-        b.apply(&ControlAction {
-            freqs: vec![KiloHertz(2_000_000), KiloHertz(2_000_000)],
-            parked: vec![false, true],
+        b.apply(ActionView {
+            freqs: &[KiloHertz(2_000_000), KiloHertz(2_000_000)],
+            parked: &[false, true],
         })
         .unwrap();
         assert_eq!(mock.root().read_u64(online).unwrap(), 0, "cpu1 offlined");
@@ -722,9 +722,9 @@ mod tests {
         assert_eq!(s.cores[1].rates.ips, 0.0);
         assert!(s.cores[0].rates.active_freq.khz() > 0, "cpu0 unaffected");
         // Unpark: the backend re-onlines the CPU and resumes driving it.
-        b.apply(&ControlAction {
-            freqs: vec![KiloHertz(2_000_000), KiloHertz(1_500_000)],
-            parked: vec![false, false],
+        b.apply(ActionView {
+            freqs: &[KiloHertz(2_000_000), KiloHertz(1_500_000)],
+            parked: &[false, false],
         })
         .unwrap();
         assert_eq!(mock.root().read_u64(online).unwrap(), 1, "cpu1 back online");
@@ -752,9 +752,9 @@ mod tests {
             },
         )
         .unwrap();
-        b.apply(&ControlAction {
-            freqs: vec![KiloHertz(2_000_000), KiloHertz(2_000_000)],
-            parked: vec![false, true],
+        b.apply(ActionView {
+            freqs: &[KiloHertz(2_000_000), KiloHertz(2_000_000)],
+            parked: &[false, true],
         })
         .unwrap();
         assert_eq!(
@@ -779,9 +779,9 @@ mod tests {
         // fall back to the floor pin.
         let mock = MockSysfs::intel(2);
         let mut b = manual(false, &mock);
-        b.apply(&ControlAction {
-            freqs: vec![KiloHertz(2_000_000), KiloHertz(2_000_000)],
-            parked: vec![true, false],
+        b.apply(ActionView {
+            freqs: &[KiloHertz(2_000_000), KiloHertz(2_000_000)],
+            parked: &[true, false],
         })
         .unwrap();
         assert!(!mock.root().exists("sys/devices/system/cpu/cpu0/online"));

@@ -1,4 +1,4 @@
-//! End-to-end: the §5 monitoring loop (`powerd::hw::run_daemon`) over a
+//! End-to-end: the §5 monitoring loop (`powerd::hw::ControlLoop`) over a
 //! [`LinuxBackend`] against a mock sysfs tree. The `drive` closure plays
 //! the hardware's part — settling `scaling_cur_freq` at whatever the
 //! daemon programmed and charging the RAPL counter with a
@@ -11,7 +11,7 @@ use pap_simcpu::units::{Seconds, Watts};
 use pap_telemetry::health::SensorId;
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind};
 use powerd::daemon::Daemon;
-use powerd::hw::{run_daemon, PowerBackend};
+use powerd::hw::{ControlLoop, PowerBackend};
 
 fn fixture_daemon(backend: &LinuxBackend, limit: f64) -> Daemon {
     let apps = vec![
@@ -25,6 +25,25 @@ fn fixture_daemon(backend: &LinuxBackend, limit: f64) -> Daemon {
     .expect("valid daemon over synthesized platform")
 }
 
+/// Run the control loop for `duration` in `tick` steps, calling `drive`
+/// before every tick, and hand the backend back.
+fn run(
+    backend: LinuxBackend,
+    daemon: &mut Daemon,
+    duration: Seconds,
+    tick: Seconds,
+    mut drive: impl FnMut(),
+) -> Result<LinuxBackend, String> {
+    let mut lp = ControlLoop::new(backend, daemon)?;
+    while lp.elapsed() < duration {
+        drive();
+        if lp.advance(tick) {
+            lp.control(daemon)?;
+        }
+    }
+    Ok(lp.into_backend())
+}
+
 /// Idle draw plus ~5 W per core at the 3 GHz ceiling, linear in
 /// frequency — enough structure for the controller to react to.
 fn model_power_w(khz: &[u64]) -> f64 {
@@ -34,7 +53,7 @@ fn model_power_w(khz: &[u64]) -> f64 {
 #[test]
 fn daemon_loop_controls_the_mock_host() {
     let mock = MockSysfs::intel(2);
-    let mut backend = LinuxBackend::probe(
+    let backend = LinuxBackend::probe(
         mock.root(),
         BackendOptions {
             dry_run: false,
@@ -48,7 +67,7 @@ fn daemon_loop_controls_the_mock_host() {
 
     let tick = Seconds(0.1);
     let root = mock.root();
-    run_daemon(&mut backend, &mut daemon, Seconds(30.0), tick, |_, _| {
+    let backend = run(backend, &mut daemon, Seconds(30.0), tick, || {
         // "Hardware": each tick the cores settle at the programmed
         // setspeed and the package burns the model's power.
         let mut khz = [0u64; 2];
@@ -99,7 +118,7 @@ fn daemon_loop_controls_the_mock_host() {
 #[test]
 fn proc_stat_utilization_drives_an_ips_policy() {
     let mock = MockSysfs::intel(2);
-    let mut backend = LinuxBackend::probe(
+    let backend = LinuxBackend::probe(
         mock.root(),
         BackendOptions {
             dry_run: false,
@@ -125,7 +144,7 @@ fn proc_stat_utilization_drives_an_ips_policy() {
 
     let tick = Seconds(0.1);
     let root = mock.root();
-    run_daemon(&mut backend, &mut daemon, Seconds(30.0), tick, |_, _| {
+    let mut backend = run(backend, &mut daemon, Seconds(30.0), tick, || {
         // "Hardware": core 0 runs ~90 % busy, core 1 ~30 % busy, both
         // settle at the programmed setspeed, the package burns the
         // model's power. 10 jiffies per 0.1 s tick (100 Hz kernel).
@@ -192,7 +211,7 @@ fn proc_stat_utilization_drives_an_ips_policy() {
 #[test]
 fn sensor_loss_mid_run_degrades_gracefully() {
     let mock = MockSysfs::intel(2);
-    let mut backend = LinuxBackend::probe(
+    let backend = LinuxBackend::probe(
         mock.root(),
         BackendOptions {
             dry_run: false,
@@ -206,7 +225,7 @@ fn sensor_loss_mid_run_degrades_gracefully() {
 
     let tick = Seconds(0.1);
     let mut ticks = 0u32;
-    run_daemon(&mut backend, &mut daemon, Seconds(20.0), tick, |_, _| {
+    let backend = run(backend, &mut daemon, Seconds(20.0), tick, || {
         ticks += 1;
         if ticks < 100 {
             mock.add_package_energy_uj((8.0 * tick.value() * 1e6) as u64);

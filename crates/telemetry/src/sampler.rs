@@ -73,7 +73,7 @@ pub struct Sampler {
 
 impl Sampler {
     /// Initialize against the chip's current counters; the first
-    /// [`Sampler::sample`] call covers the interval from here.
+    /// [`Sampler::sample_into`] call covers the interval from here.
     pub fn new<C: ChipLike>(chip: &C) -> Sampler {
         Sampler {
             prev_time: chip.now(),
@@ -87,22 +87,10 @@ impl Sampler {
     }
 
     /// Take a sample covering the interval since the previous call (or
-    /// construction). Returns `None` if no simulated time has passed.
-    pub fn sample<C: ChipLike>(&mut self, chip: &C) -> Option<Sample> {
-        let mut out = Sample::empty();
-        out.cores.reserve(chip.num_cores());
-        if self.sample_into(chip, &mut out) {
-            Some(out)
-        } else {
-            None
-        }
-    }
-
-    /// Buffer-reusing variant of [`Sampler::sample`]: writes the sample
-    /// into `out`, reusing its `cores` allocation. Returns `false` (and
-    /// leaves `out` untouched) if no simulated time has passed. Once
-    /// `out.cores` has reached the chip's core count this performs no
-    /// heap allocation.
+    /// construction), written into `out` and reusing its `cores`
+    /// allocation. Returns `false` (and leaves `out` untouched) if no
+    /// simulated time has passed. Once `out.cores` has reached the chip's
+    /// core count this performs no heap allocation.
     pub fn sample_into<C: ChipLike>(&mut self, chip: &C, out: &mut Sample) -> bool {
         let now = chip.now();
         let dt = now - self.prev_time;
@@ -152,6 +140,12 @@ mod tests {
     use pap_simcpu::platform::PlatformSpec;
     use pap_simcpu::power::LoadDescriptor;
 
+    /// One sample into a fresh buffer.
+    fn take(sampler: &mut Sampler, chip: &Chip) -> Option<Sample> {
+        let mut out = Sample::empty();
+        sampler.sample_into(chip, &mut out).then_some(out)
+    }
+
     fn run_chip(spec: PlatformSpec) -> (Chip, Sampler) {
         let mut chip = Chip::new(spec);
         chip.set_load(0, LoadDescriptor::nominal()).unwrap();
@@ -163,7 +157,7 @@ mod tests {
     fn sample_covers_elapsed_interval() {
         let (mut chip, mut sampler) = run_chip(PlatformSpec::skylake());
         chip.run_ticks(1000, Seconds(0.001));
-        let s = sampler.sample(&chip).expect("time passed");
+        let s = take(&mut sampler, &chip).expect("time passed");
         assert!((s.interval.value() - 1.0).abs() < 1e-9);
         assert!(s.package_power.value() > 10.0);
         assert_eq!(s.cores.len(), 10);
@@ -172,7 +166,7 @@ mod tests {
     #[test]
     fn no_time_no_sample() {
         let (chip, mut sampler) = run_chip(PlatformSpec::skylake());
-        assert!(sampler.sample(&chip).is_none());
+        assert!(take(&mut sampler, &chip).is_none());
     }
 
     #[test]
@@ -181,7 +175,7 @@ mod tests {
         chip.set_requested_freq(0, KiloHertz::from_mhz(1500))
             .unwrap();
         chip.run_ticks(1000, Seconds(0.001));
-        let s = sampler.sample(&chip).unwrap();
+        let s = take(&mut sampler, &chip).unwrap();
         assert_eq!(s.cores[0].rates.active_freq, KiloHertz::from_mhz(1500));
         assert_eq!(s.cores[0].requested_freq, KiloHertz::from_mhz(1500));
         // idle cores report zero active frequency
@@ -192,12 +186,12 @@ mod tests {
     fn per_core_power_only_on_ryzen() {
         let (mut chip, mut sampler) = run_chip(PlatformSpec::skylake());
         chip.run_ticks(100, Seconds(0.001));
-        let s = sampler.sample(&chip).unwrap();
+        let s = take(&mut sampler, &chip).unwrap();
         assert!(s.cores[0].power.is_none());
 
         let (mut chip, mut sampler) = run_chip(PlatformSpec::ryzen());
         chip.run_ticks(100, Seconds(0.001));
-        let s = sampler.sample(&chip).unwrap();
+        let s = take(&mut sampler, &chip).unwrap();
         let p = s.cores[0].power.expect("Ryzen exposes per-core power");
         assert!(p.value() > 0.5, "busy core power {p}");
         assert!(s.cores[7].power.unwrap().value() < 0.2, "idle core power");
@@ -207,34 +201,35 @@ mod tests {
     fn consecutive_samples_independent() {
         let (mut chip, mut sampler) = run_chip(PlatformSpec::skylake());
         chip.run_ticks(500, Seconds(0.001));
-        let s1 = sampler.sample(&chip).unwrap();
+        let s1 = take(&mut sampler, &chip).unwrap();
         // stop the workload; second interval should show near-idle power
         chip.set_load(0, LoadDescriptor::IDLE).unwrap();
         chip.run_ticks(500, Seconds(0.001));
-        let s2 = sampler.sample(&chip).unwrap();
+        let s2 = take(&mut sampler, &chip).unwrap();
         assert!(s2.package_power < s1.package_power);
         assert_eq!(s2.cores[0].rates.ips, 0.0);
     }
 
     #[test]
-    fn sample_into_reuses_buffer_and_matches_sample() {
+    fn sample_into_reuses_buffer_and_matches_a_fresh_one() {
         let (mut chip, sampler) = run_chip(PlatformSpec::skylake());
         let mut a = sampler.clone();
         let mut b = sampler;
         let mut out = Sample::empty();
         assert!(!b.sample_into(&chip, &mut out), "no time passed");
+        assert_eq!(out, Sample::empty(), "untouched without time");
 
         chip.run_ticks(500, Seconds(0.001));
-        let owned = a.sample(&chip).unwrap();
+        let fresh = take(&mut a, &chip).unwrap();
         assert!(b.sample_into(&chip, &mut out));
-        assert_eq!(out, owned);
+        assert_eq!(out, fresh);
 
         // A second interval must overwrite, not append, the cores buffer.
         let cap = out.cores.capacity();
         chip.run_ticks(500, Seconds(0.001));
-        let owned2 = a.sample(&chip).unwrap();
+        let fresh2 = take(&mut a, &chip).unwrap();
         assert!(b.sample_into(&chip, &mut out));
-        assert_eq!(out, owned2);
+        assert_eq!(out, fresh2);
         assert_eq!(out.cores.capacity(), cap, "steady state must not realloc");
     }
 
@@ -245,7 +240,7 @@ mod tests {
             chip.add_instructions(0, 2_000_000).unwrap();
             chip.tick(Seconds(0.001));
         }
-        let s = sampler.sample(&chip).unwrap();
+        let s = take(&mut sampler, &chip).unwrap();
         assert!((s.cores[0].rates.ips - 2.0e9).abs() / 2.0e9 < 0.01);
     }
 }

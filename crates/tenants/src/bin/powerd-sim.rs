@@ -240,7 +240,7 @@ fn run_scenario(opts: &CliOptions, name: &str) -> Result<(), String> {
 fn run_govcmp_sim(opts: &CliOptions) -> Result<(), String> {
     use pap_simcpu::chip::Chip;
     use pap_simcpu::units::Seconds;
-    use pap_telemetry::sampler::Sampler;
+    use pap_telemetry::sampler::{Sample, Sampler};
     use pap_workloads::latency::{ClosedLoopService, DemandShape, ServiceConfig};
     use powerd::governor::Governor;
 
@@ -278,6 +278,8 @@ fn run_govcmp_sim(opts: &CliOptions) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
 
         let mut sampler = Sampler::new(&chip);
+        let mut s = Sample::empty();
+        let mut loads = Vec::with_capacity(1);
         let dt = Seconds(0.001);
         let (mut power_acc, mut khz_acc, mut samples) = (0.0, 0.0, 0.0);
         let mut time = 0.0;
@@ -285,7 +287,7 @@ fn run_govcmp_sim(opts: &CliOptions) -> Result<(), String> {
         let mut stats_reset = false;
         while time < warmup + measured {
             let f = chip.effective_freq(0);
-            let loads = svc.advance(dt, &[f]);
+            svc.advance_into(dt, &[f], &mut loads);
             chip.set_load(0, loads[0]).map_err(|e| e.to_string())?;
             chip.tick(dt);
             time += dt.value();
@@ -295,7 +297,7 @@ fn run_govcmp_sim(opts: &CliOptions) -> Result<(), String> {
             }
             if time + 1e-9 >= next_eval {
                 next_eval += 0.1;
-                if let Some(s) = sampler.sample(&chip) {
+                if sampler.sample_into(&chip, &mut s) {
                     let util = s.cores[0].rates.c0_residency;
                     freq = gov.next_freq(&grid, freq, util);
                     chip.set_requested_freq(0, freq)
@@ -345,7 +347,7 @@ mod hwcli {
     use powerd::cli::CliOptions;
     use powerd::config::{AppSpec, DaemonConfig};
     use powerd::daemon::Daemon;
-    use powerd::hw::{run_daemon, PowerBackend};
+    use powerd::hw::{ControlLoop, PowerBackend};
     use powerd::report::{f1, f3, Table};
     use powerd::runner::standalone_freq;
 
@@ -363,7 +365,7 @@ mod hwcli {
     /// Run the daemon against the live host for `--duration` wall
     /// seconds, then report per-app energy from the attached ledger.
     pub fn run_linux(opts: &CliOptions) -> Result<(), String> {
-        let mut backend = LinuxBackend::probe(
+        let backend = LinuxBackend::probe(
             sysfs_root(opts),
             BackendOptions {
                 dry_run: opts.dry_run,
@@ -411,14 +413,15 @@ mod hwcli {
             None => EnergyLedger::new(),
         });
 
-        // Wall clock: the drive closure just lets real time pass.
-        run_daemon(
-            &mut backend,
-            &mut daemon,
-            opts.duration,
-            opts.interval,
-            |_, _| sleep_for(opts.interval),
-        )?;
+        // Wall clock: each tick just lets real time pass.
+        let mut lp = ControlLoop::new(backend, &mut daemon)?;
+        while lp.elapsed() < opts.duration {
+            sleep_for(opts.interval);
+            if lp.advance(opts.interval) {
+                lp.control(&mut daemon)?;
+            }
+        }
+        let backend = lp.into_backend();
 
         let ledger = daemon.take_energy().expect("ledger attached above");
         let mut t = Table::new(

@@ -23,7 +23,6 @@ use pap_simcpu::power::LoadDescriptor;
 use pap_simcpu::units::{Seconds, Watts};
 use pap_simcpu::widechip::WideChip;
 use pap_telemetry::metrics::ControlMetrics;
-use pap_telemetry::sampler::Sampler;
 use pap_telemetry::slo::{SloTarget, SloTracker};
 use pap_telemetry::stats;
 use pap_workloads::engine::RunningApp;
@@ -32,6 +31,7 @@ use pap_workloads::openloop::{OpenLoopConfig, OpenLoopService};
 use pap_workloads::spec;
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind};
 use powerd::daemon::Daemon;
+use powerd::hw::{ControlLoop, SimBackend};
 use powerd::obs::DecisionTrace;
 
 use crate::arrival::{ArrivalTrace, FlashCrowd};
@@ -227,7 +227,6 @@ pub fn tail_heavy() -> Scenario {
 }
 
 const TICK: Seconds = Seconds(0.001);
-const CONTROL: f64 = 1.0;
 /// Nominal instruction rate handed to the daemon for every tenant app;
 /// the online model refines it from samples.
 const BASELINE_IPS: f64 = 3.0e9;
@@ -399,14 +398,9 @@ impl Scenario {
         }
         let controller = SloController::new(self.controller);
 
-        let action = daemon.initial();
-        action.view().apply(&mut chip).unwrap();
-        let mut parked = action.parked;
-
-        let mut sampler = Sampler::new(&chip);
+        let mut lp = ControlLoop::new(SimBackend::new(chip), &mut daemon)
+            .expect("daemon emits grid/slot-valid frequencies");
         let total = self.warmup.value() + self.duration.value();
-        let mut t = 0.0;
-        let mut next_control = CONTROL;
         let mut warmed = false;
         let mut pkg_energy = 0.0;
         let mut measured_ticks = 0u64;
@@ -414,7 +408,10 @@ impl Scenario {
         let mut freq_buf: Vec<KiloHertz> = Vec::new();
         let mut activity: Vec<f64> = vec![0.0; runtimes.len()];
 
-        while t < total {
+        while lp.elapsed().value() < total {
+            let t = lp.elapsed();
+            let (backend, parked) = lp.split_mut();
+            let chip = backend.chip_mut();
             // --- workload ticks ---
             for a in activity.iter_mut() {
                 *a = 0.0;
@@ -426,7 +423,7 @@ impl Scenario {
                 let block = rt.first_core..rt.first_core + rt.spec.cores;
                 match &mut rt.engine {
                     EngineKind::Service(svc) => {
-                        svc.set_rate_scale(rt.spec.trace.intensity(Seconds(t)));
+                        svc.set_rate_scale(rt.spec.trace.intensity(t));
                         freq_buf.clear();
                         freq_buf.extend(block.clone().map(|c| {
                             if parked[c] {
@@ -454,9 +451,7 @@ impl Scenario {
                                 continue;
                             }
                             let f = chip.effective_freq(c);
-                            let out = apps[i].advance(TICK, f);
-                            chip.set_load(c, out.load).unwrap();
-                            chip.add_instructions(c, out.instructions).unwrap();
+                            let out = apps[i].run_on(chip, c, TICK).expect("core in range");
                             activity[ti] += out.load.utilization * f.hz();
                             if warmed {
                                 rt.instructions += out.instructions;
@@ -465,7 +460,8 @@ impl Scenario {
                     }
                 }
             }
-            chip.tick(TICK);
+            let crossed = lp.advance(TICK);
+            let chip = lp.split_mut().0.chip();
             if warmed {
                 let pkg_w = chip.package_power().value();
                 pkg_energy += pkg_w * TICK.value();
@@ -477,17 +473,16 @@ impl Scenario {
                     }
                 }
             }
-            t += TICK.value();
 
             // --- control boundary ---
-            if t + 1e-9 < next_control {
+            if !crossed {
                 continue;
             }
-            next_control += CONTROL;
+            let t = lp.elapsed();
 
             // Churn first: arrivals and departures apply at boundaries.
             for rt in runtimes.iter_mut() {
-                let should = rt.spec.active_at(Seconds(t));
+                let should = rt.spec.active_at(t);
                 if should && !rt.active {
                     for (i, name) in rt.app_names.iter().enumerate() {
                         daemon
@@ -504,6 +499,7 @@ impl Scenario {
                     for name in &rt.app_names {
                         daemon.remove_app(name).expect("tenant departure");
                     }
+                    let chip = lp.split_mut().0.chip_mut();
                     for c in rt.first_core..rt.first_core + rt.spec.cores {
                         chip.set_load(c, LoadDescriptor::IDLE).unwrap();
                     }
@@ -544,7 +540,7 @@ impl Scenario {
             // Crossing the warm-up boundary: restart every measurement
             // window (after the trackers saw the warm-up windows — the
             // controller needs pressure history, scoring does not).
-            if !warmed && t + 1e-9 >= self.warmup.value() {
+            if !warmed && t.value() + 1e-9 >= self.warmup.value() {
                 warmed = true;
                 for rt in runtimes.iter_mut() {
                     if let EngineKind::Service(svc) = &mut rt.engine {
@@ -587,12 +583,8 @@ impl Scenario {
             }
 
             // Daemon control interval.
-            if let Some(sample) = sampler.sample(&chip) {
-                let _ = daemon.try_step_view(&sample);
-                let action = daemon.action();
-                action.apply(&mut chip).unwrap();
-                parked.copy_from_slice(action.parked);
-            }
+            lp.control(&mut daemon)
+                .expect("daemon emits grid/slot-valid frequencies");
         }
 
         let duration = measured_ticks as f64 * TICK.value();

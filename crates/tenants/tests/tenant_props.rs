@@ -112,10 +112,11 @@ proptest! {
         a.set_rate_scale(scale);
         b.set_rate_scale(scale);
         let freqs = [KiloHertz(2_200_000), KiloHertz(1_400_000)];
+        let (mut la, mut lb) = (Vec::new(), Vec::new());
         for _ in 0..200 {
-            let la = a.advance(Seconds(0.001), &freqs);
-            let lb = b.advance(Seconds(0.001), &freqs);
-            prop_assert_eq!(la, lb);
+            a.advance_into(Seconds(0.001), &freqs, &mut la);
+            b.advance_into(Seconds(0.001), &freqs, &mut lb);
+            prop_assert_eq!(&la, &lb);
         }
         prop_assert_eq!(a.completed(), b.completed());
         prop_assert_eq!(a.dropped(), b.dropped());

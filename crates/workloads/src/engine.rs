@@ -6,6 +6,7 @@
 //! model consumes. It implements the per-tick protocol documented on
 //! [`pap_simcpu::chip::Chip`].
 
+use pap_simcpu::chiplike::ChipLike;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::power::LoadDescriptor;
 use pap_simcpu::units::Seconds;
@@ -94,6 +95,22 @@ impl RunningApp {
     /// The base profile.
     pub fn profile(&self) -> &WorkloadProfile {
         self.profile.base()
+    }
+
+    /// Run one tick of this app on `core` of `chip`: advance at the
+    /// core's effective frequency, then present the resulting load and
+    /// credit the retired instructions (the per-tick protocol on
+    /// [`pap_simcpu::chip::Chip`]). The caller ticks the chip.
+    pub fn run_on<C: ChipLike>(
+        &mut self,
+        chip: &mut C,
+        core: usize,
+        dt: Seconds,
+    ) -> pap_simcpu::error::Result<StepOutcome> {
+        let out = self.advance(dt, chip.effective_freq(core));
+        chip.set_load(core, out.load)?;
+        chip.add_instructions(core, out.instructions)?;
+        Ok(out)
     }
 
     /// Advance by `dt` at core frequency `freq`.

@@ -138,8 +138,9 @@ struct Request {
 ///
 /// let mut svc = ClosedLoopService::new(ServiceConfig::websearch(), 9);
 /// let freqs = vec![KiloHertz::from_mhz(3000); 9];
+/// let mut loads = Vec::new();
 /// for _ in 0..5_000 {
-///     svc.advance(Seconds(0.001), &freqs);
+///     svc.advance_into(Seconds(0.001), &freqs, &mut loads);
 /// }
 /// assert!(svc.completed() > 500);
 /// assert!(svc.p90_ms() > 0.0);
@@ -202,18 +203,10 @@ impl ClosedLoopService {
     }
 
     /// Advance the service by `dt`, with `freqs[i]` the effective
-    /// frequency of serving core `i`. Returns the load each serving core
-    /// presented over the tick (utilization = busy fraction).
-    pub fn advance(&mut self, dt: Seconds, freqs: &[KiloHertz]) -> Vec<LoadDescriptor> {
-        let mut loads = Vec::with_capacity(freqs.len());
-        self.advance_into(dt, freqs, &mut loads);
-        loads
-    }
-
-    /// Zero-allocation form of [`ClosedLoopService::advance`]: clears
-    /// `out` and writes one [`LoadDescriptor`] per serving core into it,
-    /// reusing its capacity across ticks (the `*_into` kernel discipline
-    /// of DESIGN.md §11).
+    /// frequency of serving core `i`. Clears `out` and writes the load
+    /// each serving core presented over the tick (utilization = busy
+    /// fraction) into it, reusing its capacity across ticks (the `*_into`
+    /// kernel discipline of DESIGN.md §11).
     pub fn advance_into(
         &mut self,
         dt: Seconds,
@@ -367,8 +360,9 @@ mod tests {
         let freqs = vec![KiloHertz::from_mhz(freq_mhz); 9];
         let dt = Seconds(0.001);
         let ticks = (seconds / dt.value()) as usize;
+        let mut loads = Vec::new();
         for _ in 0..ticks {
-            svc.advance(dt, &freqs);
+            svc.advance_into(dt, &freqs, &mut loads);
             debug_assert!(svc.user_conservation());
         }
         svc
@@ -410,8 +404,9 @@ mod tests {
             let freqs = vec![KiloHertz::from_mhz(mhz); 9];
             let mut acc = 0.0;
             let mut n = 0.0;
+            let mut loads = Vec::new();
             for _ in 0..20_000 {
-                let loads = svc.advance(Seconds(0.001), &freqs);
+                svc.advance_into(Seconds(0.001), &freqs, &mut loads);
                 acc += loads.iter().map(|l| l.utilization).sum::<f64>() / 9.0;
                 n += 1.0;
             }
@@ -456,23 +451,25 @@ mod tests {
             KiloHertz::from_mhz(1000),
             KiloHertz::from_mhz(2000),
         ];
+        let mut loads = Vec::new();
         for _ in 0..5000 {
-            let loads = svc.advance(Seconds(0.001), &freqs);
+            svc.advance_into(Seconds(0.001), &freqs, &mut loads);
             assert_eq!(loads.len(), 3);
         }
         assert!(svc.completed() > 0);
     }
 
     #[test]
-    fn advance_into_matches_advance() {
+    fn advance_into_reused_buffer_matches_a_fresh_one() {
         let mut a = ClosedLoopService::new(ServiceConfig::websearch(), 4);
         let mut b = a.clone();
         let freqs = vec![KiloHertz::from_mhz(2200); 4];
-        let mut out = Vec::new();
+        let mut reused = Vec::new();
         for _ in 0..5000 {
-            let owned = a.advance(Seconds(0.001), &freqs);
-            b.advance_into(Seconds(0.001), &freqs, &mut out);
-            assert_eq!(owned, out);
+            let mut fresh = Vec::new();
+            a.advance_into(Seconds(0.001), &freqs, &mut fresh);
+            b.advance_into(Seconds(0.001), &freqs, &mut reused);
+            assert_eq!(fresh, reused);
         }
         assert_eq!(a.completed(), b.completed());
         assert_eq!(a.p90_ms(), b.p90_ms());

@@ -71,8 +71,9 @@ struct Request {
 ///
 /// let mut svc = OpenLoopService::new(OpenLoopConfig::frontend(), 2);
 /// let freqs = vec![KiloHertz::from_mhz(3000); 2];
+/// let mut loads = Vec::new();
 /// for _ in 0..5_000 {
-///     svc.advance(Seconds(0.001), &freqs);
+///     svc.advance_into(Seconds(0.001), &freqs, &mut loads);
 /// }
 /// assert!(svc.completed() > 1_000);
 /// assert_eq!(svc.dropped(), 0);
@@ -132,18 +133,9 @@ impl OpenLoopService {
         self.in_service.len()
     }
 
-    /// Advance the service by `dt` at the given per-core frequencies.
-    ///
-    /// Allocates a fresh descriptor vector per tick; hot loops should
-    /// call [`OpenLoopService::advance_into`] with a reused buffer.
-    pub fn advance(&mut self, dt: Seconds, freqs: &[KiloHertz]) -> Vec<LoadDescriptor> {
-        let mut out = Vec::with_capacity(freqs.len());
-        self.advance_into(dt, freqs, &mut out);
-        out
-    }
-
-    /// Zero-allocation form of [`OpenLoopService::advance`]: clears `out`
-    /// and writes one [`LoadDescriptor`] per serving core into it.
+    /// Advance the service by `dt` at the given per-core frequencies:
+    /// clears `out` and writes one [`LoadDescriptor`] per serving core
+    /// into it, reusing its capacity across ticks.
     pub fn advance_into(
         &mut self,
         dt: Seconds,
@@ -300,8 +292,9 @@ mod tests {
         let mut svc = OpenLoopService::new(OpenLoopConfig::frontend(), cores);
         svc.set_rate_scale(scale);
         let freqs = vec![KiloHertz::from_mhz(mhz); cores];
+        let mut loads = Vec::new();
         for _ in 0..(seconds / 0.001) as usize {
-            svc.advance(Seconds(0.001), &freqs);
+            svc.advance_into(Seconds(0.001), &freqs, &mut loads);
         }
         svc
     }
@@ -340,13 +333,14 @@ mod tests {
     }
 
     #[test]
-    fn advance_into_matches_advance() {
+    fn advance_into_reused_buffer_matches_a_fresh_one() {
         let mut a = OpenLoopService::new(OpenLoopConfig::frontend(), 3);
         let mut b = a.clone();
         let freqs = vec![KiloHertz::from_mhz(2600); 3];
         let mut buf = Vec::new();
         for _ in 0..8000 {
-            let fresh = a.advance(Seconds(0.001), &freqs);
+            let mut fresh = Vec::new();
+            a.advance_into(Seconds(0.001), &freqs, &mut fresh);
             b.advance_into(Seconds(0.001), &freqs, &mut buf);
             assert_eq!(fresh, buf);
         }
@@ -370,14 +364,15 @@ mod tests {
         let mut svc = OpenLoopService::new(OpenLoopConfig::frontend(), 2);
         svc.set_rate_scale(0.0);
         let freqs = vec![KiloHertz::from_mhz(3000); 2];
+        let mut loads = Vec::new();
         for _ in 0..2000 {
-            svc.advance(Seconds(0.001), &freqs);
+            svc.advance_into(Seconds(0.001), &freqs, &mut loads);
         }
         assert_eq!(svc.offered(), 0);
         // Degenerate scales read as zero, not NaN-rate arrivals.
         svc.set_rate_scale(f64::NAN);
         for _ in 0..1000 {
-            svc.advance(Seconds(0.001), &freqs);
+            svc.advance_into(Seconds(0.001), &freqs, &mut loads);
         }
         assert_eq!(svc.offered(), 0);
     }

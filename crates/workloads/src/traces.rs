@@ -162,18 +162,8 @@ impl TracedService {
     }
 
     /// Advance by `dt` at the given per-core frequencies, with demand
-    /// scaled to the trace's current intensity.
-    ///
-    /// Allocates a fresh descriptor vector per tick; hot loops should
-    /// call [`TracedService::advance_into`] with a reused buffer.
-    pub fn advance(&mut self, dt: Seconds, freqs: &[KiloHertz]) -> Vec<LoadDescriptor> {
-        let mut out = Vec::with_capacity(freqs.len());
-        self.advance_into(dt, freqs, &mut out);
-        out
-    }
-
-    /// Zero-allocation form of [`TracedService::advance`]: clears `out`
-    /// and writes one [`LoadDescriptor`] per core into it.
+    /// scaled to the trace's current intensity: clears `out` and writes
+    /// one [`LoadDescriptor`] per core into it, reusing its capacity.
     pub fn advance_into(
         &mut self,
         dt: Seconds,
@@ -318,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_advance_into_matches_advance() {
+    fn traced_advance_into_reused_buffer_matches_a_fresh_one() {
         let cfg = ServiceConfig::websearch();
         let freqs = vec![KiloHertz::from_mhz(2600); 6];
         let trace = LoadTrace::Diurnal {
@@ -330,7 +320,8 @@ mod tests {
         let mut b = TracedService::new(cfg, 6, trace);
         let mut buf = Vec::new();
         for _ in 0..10_000 {
-            let fresh = a.advance(Seconds(0.001), &freqs);
+            let mut fresh = Vec::new();
+            a.advance_into(Seconds(0.001), &freqs, &mut fresh);
             b.advance_into(Seconds(0.001), &freqs, &mut buf);
             assert_eq!(fresh, buf);
         }
@@ -343,8 +334,9 @@ mod tests {
         let freqs = vec![KiloHertz::from_mhz(3000); 9];
         let run = |trace: LoadTrace| -> f64 {
             let mut ts = TracedService::new(cfg.clone(), 9, trace);
+            let mut loads = Vec::new();
             for _ in 0..30_000 {
-                ts.advance(Seconds(0.001), &freqs);
+                ts.advance_into(Seconds(0.001), &freqs, &mut loads);
             }
             ts.service().throughput()
         };
@@ -371,8 +363,9 @@ mod tests {
                 duty: 0.5,
             },
         );
+        let mut loads = Vec::new();
         for _ in 0..20_000 {
-            ts.advance(Seconds(0.001), &freqs);
+            ts.advance_into(Seconds(0.001), &freqs, &mut loads);
             assert!(ts.service().user_conservation());
         }
     }

@@ -11,10 +11,7 @@ fn drive(chip: &mut Chip, apps: &mut [(usize, RunningApp)], seconds: f64) {
     let ticks = (seconds / MS.value()) as usize;
     for _ in 0..ticks {
         for (core, app) in apps.iter_mut() {
-            let f = chip.effective_freq(*core);
-            let out = app.advance(MS, f);
-            chip.set_load(*core, out.load).unwrap();
-            chip.add_instructions(*core, out.instructions).unwrap();
+            app.run_on(chip, *core, MS).unwrap();
         }
         chip.tick(MS);
     }
@@ -46,10 +43,11 @@ fn websearch_package_power_anchor() {
     }
     let mut acc = 0.0;
     let mut n = 0;
+    let mut loads = Vec::with_capacity(9);
     for tick in 0..20_000 {
         let freqs: Vec<KiloHertz> = (0..9).map(|c| chip.effective_freq(c)).collect();
-        let loads = svc.advance(MS, &freqs);
-        for (c, load) in loads.into_iter().enumerate() {
+        svc.advance_into(MS, &freqs, &mut loads);
+        for (c, &load) in loads.iter().enumerate() {
             chip.set_load(c, load).unwrap();
         }
         chip.tick(MS);

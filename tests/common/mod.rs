@@ -1,17 +1,25 @@
-//! Golden-replay harness for the hot-path suite (`hotpath.rs`):
-//! deterministic synthetic telemetry, the policy scenario matrix, and
-//! fixture plumbing. Pure functions only — pre- and
-//! post-refactor replays must see bit-identical inputs.
+//! Shared integration-test harness. For the hot-path suite
+//! (`hotpath.rs`): deterministic synthetic telemetry, the policy
+//! scenario matrix, and golden-fixture plumbing — pure functions only,
+//! so pre- and post-refactor replays see bit-identical inputs. For the
+//! off-path suites (`observability.rs`, `energy_offpath.rs`): the
+//! per-policy app mix and the closed-loop run that records every
+//! commanded action.
 
 #![allow(dead_code)]
 
+use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
 use pap_telemetry::counters::CoreRates;
 use pap_telemetry::sampler::{CoreSample, Sample};
+use pap_workloads::engine::RunningApp;
+use pap_workloads::spec;
 use powerd::config::{AppSpec, PolicyKind, Priority};
-use powerd::daemon::ActionView;
+use powerd::daemon::{ActionView, ControlAction, Daemon};
+use powerd::hw::{ControlLoop, SimBackend};
+use powerd::runner::standalone_freq;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -186,4 +194,71 @@ pub fn policy_scenarios() -> Vec<(&'static str, PolicyKind, PlatformSpec, Vec<Ap
             ryzen_apps(),
         ),
     ]
+}
+
+/// Every policy kind, with the platform it runs on natively.
+pub fn policy_platforms() -> Vec<(PolicyKind, PlatformSpec)> {
+    vec![
+        (PolicyKind::RaplNative, PlatformSpec::skylake()),
+        (PolicyKind::Priority, PlatformSpec::skylake()),
+        (PolicyKind::FrequencyShares, PlatformSpec::skylake()),
+        (PolicyKind::PerformanceShares, PlatformSpec::skylake()),
+        (PolicyKind::PowerShares, PlatformSpec::ryzen()),
+    ]
+}
+
+pub fn four_apps(platform: &PlatformSpec) -> Vec<AppSpec> {
+    let mix = [
+        ("cactusBSSN", spec::CACTUS_BSSN, 70u32),
+        ("lbm", spec::LBM, 50),
+        ("gcc", spec::GCC, 50),
+        ("leela", spec::LEELA, 30),
+    ];
+    mix.iter()
+        .enumerate()
+        .map(|(core, (name, profile, shares))| {
+            AppSpec::new(name.to_string(), core)
+                .with_priority(Priority::High)
+                .with_shares(*shares)
+                .with_baseline_ips(profile.ips(standalone_freq(platform, profile)))
+        })
+        .collect()
+}
+
+/// Drive a daemon against a chip for `seconds`, returning every
+/// commanded action.
+pub fn drive(daemon: &mut Daemon, platform: &PlatformSpec, seconds: f64) -> Vec<ControlAction> {
+    let mut chip = Chip::new(platform.clone());
+    if daemon.config().policy == PolicyKind::RaplNative {
+        chip.set_rapl_limit(Some(daemon.config().power_limit))
+            .expect("RAPL range");
+    }
+    let mut apps: Vec<(usize, RunningApp)> = daemon
+        .config()
+        .apps
+        .iter()
+        .map(|a| {
+            (
+                a.core,
+                RunningApp::looping(spec::by_name(&a.name).unwrap_or(spec::GCC)),
+            )
+        })
+        .collect();
+
+    let mut lp = ControlLoop::new(SimBackend::new(chip), daemon).expect("valid action");
+
+    let dt = Seconds(0.002);
+    let mut actions = Vec::new();
+    while lp.elapsed().value() < seconds {
+        let (backend, parked) = lp.split_mut();
+        for (core, app) in apps.iter_mut() {
+            if !parked[*core] {
+                app.run_on(backend.chip_mut(), *core, dt).unwrap();
+            }
+        }
+        if lp.advance(dt) && lp.control(daemon).expect("valid action").is_some() {
+            actions.push(daemon.action().to_owned());
+        }
+    }
+    actions
 }

@@ -3,7 +3,6 @@
 //! mismatches are rejected up front.
 
 use per_app_power::prelude::*;
-use per_app_power::telemetry::sampler::Sampler;
 use per_app_power::workloads::spec;
 use powerd::config::{AppSpec, DaemonConfig};
 
@@ -11,7 +10,7 @@ use powerd::config::{AppSpec, DaemonConfig};
 /// action against the platform's constraints. Returns the final package
 /// power.
 fn drive_checked(platform: PlatformSpec, config: DaemonConfig, seconds: f64) -> f64 {
-    let mut chip = Chip::new(platform.clone());
+    let chip = Chip::new(platform.clone());
     let mut daemon = Daemon::new(config.clone(), &platform).expect("valid daemon");
     let mut apps: Vec<(usize, RunningApp)> = config
         .apps
@@ -26,43 +25,24 @@ fn drive_checked(platform: PlatformSpec, config: DaemonConfig, seconds: f64) -> 
 
     // Every frequency must be on the platform grid; Ryzen actions must
     // fit the shared slots (the chip's set_all_requested enforces both).
-    let action = daemon.initial();
-    action
-        .view()
-        .apply(&mut chip)
+    let mut lp = ControlLoop::new(SimBackend::new(chip), &mut daemon)
         .expect("daemon action rejected by hardware");
-    let mut parked = action.parked;
-    let mut sampler = Sampler::new(&chip);
 
     let dt = Seconds(0.002);
     let ticks = (seconds / dt.value()) as usize;
-    let mut next_control = 1.0;
-    let mut t = 0.0;
     for _ in 0..ticks {
+        let (backend, parked) = lp.split_mut();
         for (core, app) in apps.iter_mut() {
-            if parked[*core] {
-                continue;
+            if !parked[*core] {
+                app.run_on(backend.chip_mut(), *core, dt).unwrap();
             }
-            let f = chip.effective_freq(*core);
-            let out = app.advance(dt, f);
-            chip.set_load(*core, out.load).unwrap();
-            chip.add_instructions(*core, out.instructions).unwrap();
         }
-        chip.tick(dt);
-        t += dt.value();
-        if t + 1e-9 >= next_control {
-            next_control += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
-                let _ = daemon.try_step_view(&sample);
-                let action = daemon.action();
-                action
-                    .apply(&mut chip)
-                    .expect("daemon action rejected by hardware");
-                parked.copy_from_slice(action.parked);
-            }
+        if lp.advance(dt) {
+            lp.control(&mut daemon)
+                .expect("daemon action rejected by hardware");
         }
     }
-    chip.package_power().value()
+    lp.into_backend().chip().package_power().value()
 }
 
 fn apps_for(platform: &PlatformSpec) -> Vec<AppSpec> {

@@ -6,99 +6,14 @@
 //! (per-app energy sums to package energy under activity attribution,
 //! cost derives from the tariff).
 
-use pap_simcpu::chip::Chip;
+mod common;
+
+use common::{drive, four_apps, policy_platforms};
 use pap_simcpu::platform::PlatformSpec;
-use pap_simcpu::units::{Seconds, Watts};
+use pap_simcpu::units::Watts;
 use pap_telemetry::energy::{EnergyLedger, Tariff};
-use pap_telemetry::sampler::Sampler;
-use pap_workloads::engine::RunningApp;
-use pap_workloads::spec;
-use powerd::config::{AppSpec, DaemonConfig, PolicyKind, Priority};
-use powerd::daemon::{ControlAction, Daemon};
-use powerd::runner::standalone_freq;
-
-fn policy_platforms() -> Vec<(PolicyKind, PlatformSpec)> {
-    vec![
-        (PolicyKind::RaplNative, PlatformSpec::skylake()),
-        (PolicyKind::Priority, PlatformSpec::skylake()),
-        (PolicyKind::FrequencyShares, PlatformSpec::skylake()),
-        (PolicyKind::PerformanceShares, PlatformSpec::skylake()),
-        (PolicyKind::PowerShares, PlatformSpec::ryzen()),
-    ]
-}
-
-fn four_apps(platform: &PlatformSpec) -> Vec<AppSpec> {
-    let mix = [
-        ("cactusBSSN", spec::CACTUS_BSSN, 70u32),
-        ("lbm", spec::LBM, 50),
-        ("gcc", spec::GCC, 50),
-        ("leela", spec::LEELA, 30),
-    ];
-    mix.iter()
-        .enumerate()
-        .map(|(core, (name, profile, shares))| {
-            AppSpec::new(name.to_string(), core)
-                .with_priority(Priority::High)
-                .with_shares(*shares)
-                .with_baseline_ips(profile.ips(standalone_freq(platform, profile)))
-        })
-        .collect()
-}
-
-/// Drive a daemon against a chip for `seconds`, returning every
-/// commanded action (the observability suite's driver, unchanged).
-fn drive(daemon: &mut Daemon, platform: &PlatformSpec, seconds: f64) -> Vec<ControlAction> {
-    let mut chip = Chip::new(platform.clone());
-    if daemon.config().policy == PolicyKind::RaplNative {
-        chip.set_rapl_limit(Some(daemon.config().power_limit))
-            .expect("RAPL range");
-    }
-    let mut apps: Vec<(usize, RunningApp)> = daemon
-        .config()
-        .apps
-        .iter()
-        .map(|a| {
-            (
-                a.core,
-                RunningApp::looping(spec::by_name(&a.name).unwrap_or(spec::GCC)),
-            )
-        })
-        .collect();
-
-    let action = daemon.initial();
-    action.view().apply(&mut chip).expect("valid action");
-    let mut parked = action.parked;
-    let mut sampler = Sampler::new(&chip);
-
-    let dt = Seconds(0.002);
-    let mut actions = Vec::new();
-    let mut next_control = 1.0;
-    let mut t = 0.0;
-    while t < seconds {
-        for (core, app) in apps.iter_mut() {
-            if parked[*core] {
-                continue;
-            }
-            let f = chip.effective_freq(*core);
-            let out = app.advance(dt, f);
-            chip.set_load(*core, out.load).unwrap();
-            chip.add_instructions(*core, out.instructions).unwrap();
-        }
-        chip.tick(dt);
-        t += dt.value();
-        if t + 1e-9 >= next_control {
-            next_control += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
-                let _ = daemon.try_step_view(&sample);
-                let action = daemon.action();
-                action.apply(&mut chip).expect("valid action");
-                parked.copy_from_slice(action.parked);
-                actions.push(action.to_owned());
-            }
-        }
-    }
-    actions
-}
+use powerd::config::{DaemonConfig, PolicyKind};
+use powerd::daemon::Daemon;
 
 #[test]
 fn ledger_attachment_is_bit_identical_per_policy() {

@@ -28,20 +28,22 @@ fn governors_trade_power_for_latency() {
         let grid = chip.spec().grid;
         let mut freq = grid.max();
         chip.set_requested_freq(0, freq).unwrap();
-        let mut sampler = per_app_power::telemetry::sampler::Sampler::new(&chip);
+        let mut sampler = Sampler::new(&chip);
+        let mut s = Sample::empty();
+        let mut loads = Vec::with_capacity(1);
         let mut power = 0.0;
         let mut n = 0.0;
         let mut t = 0.0;
         let mut next = 0.1;
         while t < 40.0 {
             let f = chip.effective_freq(0);
-            let loads = svc.advance(Seconds(0.001), &[f]);
+            svc.advance_into(Seconds(0.001), &[f], &mut loads);
             chip.set_load(0, loads[0]).unwrap();
             chip.tick(Seconds(0.001));
             t += 0.001;
             if t + 1e-9 >= next {
                 next += 0.1;
-                if let Some(s) = sampler.sample(&chip) {
+                if sampler.sample_into(&chip, &mut s) {
                     freq = gov.next_freq(&grid, freq, s.cores[0].rates.c0_residency);
                     chip.set_requested_freq(0, freq).unwrap();
                     power += s.package_power.value();

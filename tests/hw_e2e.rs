@@ -13,12 +13,12 @@ use pap_simcpu::units::{Seconds, Watts};
 use pap_telemetry::energy::{EnergyLedger, Tariff};
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind};
 use powerd::daemon::Daemon;
-use powerd::hw::{run_daemon, PowerBackend};
+use powerd::hw::{ControlLoop, PowerBackend};
 
 #[test]
 fn daemon_prices_energy_on_an_amd_mock_host() {
     let mock = MockSysfs::amd(2);
-    let mut backend = LinuxBackend::probe(
+    let backend = LinuxBackend::probe(
         mock.root(),
         BackendOptions {
             dry_run: false,
@@ -45,13 +45,16 @@ fn daemon_prices_energy_on_an_amd_mock_host() {
     // The "host" burns a flat 10 W package (socket energy counter) and
     // 4 W per core, charged each tick.
     let tick = Seconds(0.1);
-    run_daemon(&mut backend, &mut daemon, Seconds(20.0), tick, |_, _| {
+    let mut lp = ControlLoop::new(backend, &mut daemon).expect("initial action programs");
+    while lp.elapsed() < Seconds(20.0) {
         mock.add_socket_energy_uj((10.0 * tick.value() * 1e6) as u64);
         for c in 0..2 {
             mock.add_core_energy_uj(c, (4.0 * tick.value() * 1e6) as u64);
         }
-    })
-    .expect("loop completes");
+        if lp.advance(tick) {
+            lp.control(&mut daemon).expect("loop completes");
+        }
+    }
 
     let ledger = daemon.take_energy().expect("ledger attached");
     // ~10 W for ~19 s of sampled intervals ≈ 0.05 Wh at the package.

@@ -4,7 +4,6 @@
 //! program, and the chip itself accepts every action.
 
 use per_app_power::prelude::*;
-use per_app_power::telemetry::sampler::Sampler;
 use per_app_power::workloads::spec;
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind, Priority, TranslationKind};
 use powerd::daemon::ActionView;
@@ -37,27 +36,25 @@ fn drive_with_swaps(
         .collect();
     let config = DaemonConfig::new(policy, limit, apps);
 
-    let mut chip = Chip::new(platform.clone());
+    let chip = Chip::new(platform.clone());
     let mut daemon = Daemon::new(config, &platform).expect("valid daemon");
     let mut engines: Vec<RunningApp> = (0..n_apps)
         .map(|core| RunningApp::looping(profiles[core % profiles.len()]))
         .collect();
 
     let (f_min, f_max) = (platform.grid.min(), platform.grid.max());
-    let check_apply = |chip: &mut Chip, action: ActionView<'_>| {
+    let check_range = |action: ActionView<'_>| {
         for (core, &f) in action.freqs.iter().enumerate() {
             assert!(
                 f >= f_min && f <= f_max,
                 "core {core} commanded {f:?} outside the P-state range [{f_min:?}, {f_max:?}]"
             );
         }
-        action.apply(chip).expect("chip rejected a daemon action");
     };
 
-    let action = daemon.initial();
-    check_apply(&mut chip, action.view());
-    let mut parked = action.parked;
-    let mut sampler = Sampler::new(&chip);
+    let mut lp = ControlLoop::new(SimBackend::new(chip), &mut daemon)
+        .expect("chip rejected a daemon action");
+    check_range(daemon.action());
 
     let dt = Seconds(0.002);
     let ticks_per_interval = (1.0 / dt.value()) as usize;
@@ -69,22 +66,21 @@ fn drive_with_swaps(
             };
             daemon.set_translation(next);
         }
+        let mut crossed = false;
         for _ in 0..ticks_per_interval {
+            let (backend, parked) = lp.split_mut();
             for (core, app) in engines.iter_mut().enumerate() {
-                if parked[core] {
-                    continue;
+                if !parked[core] {
+                    app.run_on(backend.chip_mut(), core, dt).unwrap();
                 }
-                let f = chip.effective_freq(core);
-                let out = app.advance(dt, f);
-                chip.set_load(core, out.load).unwrap();
-                chip.add_instructions(core, out.instructions).unwrap();
             }
-            chip.tick(dt);
+            crossed = lp.advance(dt);
         }
-        let sample = sampler.sample(&chip).expect("one interval elapsed");
-        let _ = daemon.try_step_view(&sample);
-        check_apply(&mut chip, daemon.action());
-        parked.copy_from_slice(daemon.action().parked);
+        assert!(crossed, "one interval elapsed");
+        lp.control(&mut daemon)
+            .expect("chip rejected a daemon action")
+            .expect("one interval elapsed");
+        check_range(daemon.action());
     }
 }
 

@@ -13,108 +13,25 @@
 //! * the resilience ladder and the cluster arbiter emit records too,
 //!   and serial vs parallel cluster execution produces identical ones.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{drive, four_apps, policy_platforms};
 use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
 use pap_telemetry::counters::CoreRates;
 use pap_telemetry::metrics::ControlMetrics;
-use pap_telemetry::sampler::{Sample, Sampler};
-use pap_workloads::engine::RunningApp;
-use pap_workloads::spec;
-use powerd::config::{AppSpec, DaemonConfig, PolicyKind, Priority};
+use pap_telemetry::sampler::Sample;
+use powerd::config::{AppSpec, DaemonConfig, PolicyKind};
 use powerd::daemon::{ControlAction, Daemon, DaemonError};
+use powerd::hw::{ControlLoop, SimBackend};
 use powerd::obs::{DecisionEvent, DecisionTrace};
 use powerd::resilience::{
     CoreObservation, DegradationLevel, Observation, ResilienceConfig, ResilientDaemon,
 };
-use powerd::runner::standalone_freq;
-
-/// Every policy kind, with the platform it runs on natively.
-fn policy_platforms() -> Vec<(PolicyKind, PlatformSpec)> {
-    vec![
-        (PolicyKind::RaplNative, PlatformSpec::skylake()),
-        (PolicyKind::Priority, PlatformSpec::skylake()),
-        (PolicyKind::FrequencyShares, PlatformSpec::skylake()),
-        (PolicyKind::PerformanceShares, PlatformSpec::skylake()),
-        (PolicyKind::PowerShares, PlatformSpec::ryzen()),
-    ]
-}
-
-fn four_apps(platform: &PlatformSpec) -> Vec<AppSpec> {
-    let mix = [
-        ("cactusBSSN", spec::CACTUS_BSSN, 70u32),
-        ("lbm", spec::LBM, 50),
-        ("gcc", spec::GCC, 50),
-        ("leela", spec::LEELA, 30),
-    ];
-    mix.iter()
-        .enumerate()
-        .map(|(core, (name, profile, shares))| {
-            AppSpec::new(name.to_string(), core)
-                .with_priority(Priority::High)
-                .with_shares(*shares)
-                .with_baseline_ips(profile.ips(standalone_freq(platform, profile)))
-        })
-        .collect()
-}
-
-/// Drive a daemon against a chip for `seconds`, returning every
-/// commanded action.
-fn drive(daemon: &mut Daemon, platform: &PlatformSpec, seconds: f64) -> Vec<ControlAction> {
-    let mut chip = Chip::new(platform.clone());
-    if daemon.config().policy == PolicyKind::RaplNative {
-        chip.set_rapl_limit(Some(daemon.config().power_limit))
-            .expect("RAPL range");
-    }
-    let mut apps: Vec<(usize, RunningApp)> = daemon
-        .config()
-        .apps
-        .iter()
-        .map(|a| {
-            (
-                a.core,
-                RunningApp::looping(spec::by_name(&a.name).unwrap_or(spec::GCC)),
-            )
-        })
-        .collect();
-
-    let action = daemon.initial();
-    action.view().apply(&mut chip).expect("valid action");
-    let mut parked = action.parked;
-    let mut sampler = Sampler::new(&chip);
-
-    let dt = Seconds(0.002);
-    let mut actions = Vec::new();
-    let mut next_control = 1.0;
-    let mut t = 0.0;
-    while t < seconds {
-        for (core, app) in apps.iter_mut() {
-            if parked[*core] {
-                continue;
-            }
-            let f = chip.effective_freq(*core);
-            let out = app.advance(dt, f);
-            chip.set_load(*core, out.load).unwrap();
-            chip.add_instructions(*core, out.instructions).unwrap();
-        }
-        chip.tick(dt);
-        t += dt.value();
-        if t + 1e-9 >= next_control {
-            next_control += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
-                let _ = daemon.try_step_view(&sample);
-                let action = daemon.action();
-                action.apply(&mut chip).expect("valid action");
-                parked.copy_from_slice(action.parked);
-                actions.push(action.to_owned());
-            }
-        }
-    }
-    actions
-}
 
 /// Truncate a sample's per-core slices (a torn/partial telemetry read).
 fn truncate(sample: &Sample, cores: usize) -> Sample {
@@ -195,7 +112,9 @@ fn resume_from_snaps_off_grid_points_to_the_grid() {
     for (policy, platform) in policy_platforms() {
         let config = DaemonConfig::new(policy, Watts(40.0), four_apps(&platform));
         let mut daemon = Daemon::new(config, &platform).expect("valid config");
-        daemon.initial();
+        // Programs the initial distribution, which `resume_from` replaces.
+        let lp = ControlLoop::new(SimBackend::new(Chip::new(platform.clone())), &mut daemon)
+            .expect("valid action");
 
         // A firmware-throttled chip reports operating points nowhere
         // near the grid: off-step, below the floor, above the ceiling.
@@ -238,35 +157,30 @@ fn resume_from_snaps_off_grid_points_to_the_grid() {
         }
 
         // The daemon must keep stepping normally from the resumed state.
-        let actions = drive_resumed(&mut daemon, &platform, 3.0);
+        let actions = drive_resumed(lp, &mut daemon, &platform, 3.0);
         assert!(!actions.is_empty());
     }
 }
 
-/// Like [`drive`] but without re-running `initial()` (the daemon already
-/// resumed); just advances a fresh chip under the daemon's control.
-fn drive_resumed(daemon: &mut Daemon, platform: &PlatformSpec, seconds: f64) -> Vec<ControlAction> {
-    let mut chip = Chip::new(platform.clone());
-    let mut sampler = Sampler::new(&chip);
+/// Like [`drive`] but on a loop built before the daemon resumed (so
+/// `initial()` does not overwrite the resumed state); loads the first
+/// cores with a nominal workload under the daemon's control.
+fn drive_resumed(
+    mut lp: ControlLoop<SimBackend>,
+    daemon: &mut Daemon,
+    platform: &PlatformSpec,
+    seconds: f64,
+) -> Vec<ControlAction> {
     let dt = Seconds(0.002);
     let mut actions = Vec::new();
-    let mut next_control = 1.0;
-    let mut t = 0.0;
-    while t < seconds {
+    while lp.elapsed().value() < seconds {
+        let chip = lp.split_mut().0.chip_mut();
         for core in 0..platform.num_cores.min(4) {
             chip.set_load(core, pap_simcpu::power::LoadDescriptor::nominal())
                 .unwrap();
         }
-        chip.tick(dt);
-        t += dt.value();
-        if t + 1e-9 >= next_control {
-            next_control += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
-                let _ = daemon.try_step_view(&sample);
-                let action = daemon.action();
-                action.apply(&mut chip).expect("valid action");
-                actions.push(action.to_owned());
-            }
+        if lp.advance(dt) && lp.control(daemon).expect("valid action").is_some() {
+            actions.push(daemon.action().to_owned());
         }
     }
     actions

@@ -101,10 +101,11 @@ proptest! {
     #[test]
     fn service_conserves_users(seq in proptest::collection::vec(400u64..3800, 8..40)) {
         let mut svc = ClosedLoopService::new(ServiceConfig::websearch(), 4);
+        let mut loads = Vec::new();
         for mhz in seq {
             let freqs = vec![KiloHertz::from_mhz(mhz); 4];
             for _ in 0..25 {
-                svc.advance(Seconds(0.001), &freqs);
+                svc.advance_into(Seconds(0.001), &freqs, &mut loads);
             }
             prop_assert!(svc.user_conservation());
         }
