@@ -31,6 +31,7 @@ fn sample(ncores: usize, pkg: f64) -> Sample {
                 requested_freq: KiloHertz::from_mhz(2000),
             })
             .collect(),
+        health: Default::default(),
     }
 }
 

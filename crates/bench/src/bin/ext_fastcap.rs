@@ -173,6 +173,7 @@ fn run_face_off(policy: PolicyKind, n: usize) -> FaceOffResult {
             package_power: chip.package_power(),
             cores_power: chip.cores_power(),
             cores,
+            health: Default::default(),
         };
 
         if interval >= WARMUP_INTERVALS {

@@ -135,6 +135,14 @@ impl ControlAction {
             parked: &self.parked,
         }
     }
+
+    /// Overwrite this action with `view`, reusing its buffers.
+    pub fn copy_from(&mut self, view: ActionView<'_>) {
+        self.freqs.clear();
+        self.freqs.extend_from_slice(view.freqs);
+        self.parked.clear();
+        self.parked.extend_from_slice(view.parked);
+    }
 }
 
 /// Borrowed view of one control interval's decision, pointing into the
@@ -1007,6 +1015,7 @@ mod tests {
             package_power: Watts(pkg),
             cores_power: Watts(pkg - 12.0),
             cores,
+            health: Default::default(),
         }
     }
 

@@ -81,12 +81,11 @@ pub mod runner;
 pub mod prelude {
     pub use crate::config::{AppSpec, DaemonConfig, PolicyKind, Priority, TranslationKind};
     pub use crate::daemon::{ControlAction, Daemon};
-    pub use crate::hw::{ControlLoop, SimBackend};
+    pub use crate::hw::{ControlLoop, Controller, SimBackend};
     pub use crate::obs::{AppDecision, DecisionEvent, DecisionRecord, DecisionTrace};
     pub use crate::policy::{Policy, PolicyCtx, PolicyInput, PolicyOutput};
     pub use crate::resilience::{
-        CoreObservation, DegradationLevel, LadderEvent, Observation, ResilienceConfig,
-        ResilientDaemon, RetryPolicy,
+        DegradationLevel, LadderEvent, ResilienceConfig, ResilientDaemon, RetryPolicy,
     };
     pub use crate::runner::{
         standalone_freq, AppResult, Experiment, ExperimentResult, LatencyExperiment, LatencyResult,

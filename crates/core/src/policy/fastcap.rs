@@ -286,6 +286,7 @@ mod tests {
                     power: None,
                     requested_freq: KiloHertz::from_ghz(total),
                 }],
+                health: Default::default(),
             });
         }
         assert!(m.package_confident(), "fixture model must be confident");

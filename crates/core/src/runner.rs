@@ -281,7 +281,7 @@ impl Experiment {
             }
             if lp.advance(self.tick) {
                 if let Some(sample) = lp.control(&mut daemon)? {
-                    trace.push(sample);
+                    trace.push(sample.clone());
                 }
             }
         }
@@ -508,7 +508,7 @@ impl LatencyExperiment {
             if boundary {
                 if let Some(sample) = lp.control(&mut daemon)? {
                     if stats_reset {
-                        trace.push(sample);
+                        trace.push(sample.clone());
                     }
                 }
             }

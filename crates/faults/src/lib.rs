@@ -17,12 +17,14 @@
 //!   and persistent read errors, flaky (probabilistic) reads, stuck
 //!   frequency writes that are accepted but ineffective, per-core power
 //!   noise, energy-counter glitches and rollovers, and thermal
-//!   emergencies where firmware clamps the chip underneath the OS.
-//! * [`observe`] — [`observe::FaultObserver`]: a failure-aware sampler
-//!   producing [`powerd::resilience::Observation`]s, with per-sensor
-//!   snapshots, bounded retries and a plausibility screen.
+//!   emergencies where firmware clamps the chip underneath the OS. It is
+//!   a [`powerd::hw::PowerBackend`]: each sample reads every sensor
+//!   through bounded retries, keeps a snapshot per sensor, screens
+//!   derived values for plausibility and lists what failed in the
+//!   sample's health record, together with write errors.
 //! * [`runner`] — [`runner::ChaosExperiment`]: drives a workload mix
-//!   through a fault plan with either the resilient stack or a naïve
+//!   through a fault plan in a [`powerd::hw::ControlLoop`] over a
+//!   `FaultyChip`, with either the resilient stack or a naïve
 //!   stale-fill baseline, and scores both on the *inner* chip's ground
 //!   truth (cap violations, Jain fairness, starvation).
 //!
@@ -33,7 +35,6 @@
 #![forbid(unsafe_code)]
 
 pub mod chip;
-pub mod observe;
 pub mod plan;
 pub mod runner;
 
@@ -55,7 +56,6 @@ pub fn chaos_platform() -> PlatformSpec {
 pub mod prelude {
     pub use crate::chaos_platform;
     pub use crate::chip::{FaultError, FaultyChip, InjectionStats};
-    pub use crate::observe::FaultObserver;
     pub use crate::plan::{ChaosProfile, FaultKind, FaultPlan, FaultSpec};
     pub use crate::runner::{ChaosAppResult, ChaosExperiment, ChaosResult};
 }

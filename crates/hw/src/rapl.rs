@@ -94,10 +94,14 @@ impl RaplMeter {
     }
 
     /// A meter over the first package zone, or `None` when the host has
-    /// no RAPL.
+    /// no RAPL — or a package zone whose energy counter is already gone
+    /// (driver mid-unbind).
     pub fn package(root: &SysfsRoot) -> Result<Option<RaplMeter>, HwError> {
         match discover(root)?.into_iter().find(|d| d.is_package()) {
-            Some(d) => Ok(Some(RaplMeter::new(root, d)?)),
+            Some(d) => match RaplMeter::new(root, d) {
+                Err(HwError::NotFound(_)) => Ok(None),
+                meter => meter.map(Some),
+            },
             None => Ok(None),
         }
     }

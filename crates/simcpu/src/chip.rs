@@ -149,32 +149,33 @@ impl Chip {
                 num_cores: self.cores.len(),
             });
         }
-        let mut snapped = Vec::with_capacity(freqs.len());
+        let grid = self.spec.grid;
         for &f in freqs {
-            if f < self.spec.grid.min() || f > self.spec.grid.max() {
+            if f < grid.min() || f > grid.max() {
                 return Err(SimError::FrequencyOutOfRange {
                     requested: f,
-                    min: self.spec.grid.min(),
-                    max: self.spec.grid.max(),
+                    min: grid.min(),
+                    max: grid.max(),
                 });
             }
-            snapped.push(self.spec.grid.round(f));
         }
         if let Some(slots) = self.spec.shared_pstate_slots {
-            let mut distinct: Vec<KiloHertz> = Vec::with_capacity(slots + 1);
-            for &fr in &snapped {
-                if !distinct.contains(&fr) {
-                    distinct.push(fr);
-                }
-            }
-            if distinct.len() > slots {
+            // A snapped frequency is distinct at its first occurrence;
+            // counting in place keeps the control path allocation-free.
+            let distinct = (0..freqs.len())
+                .filter(|&i| {
+                    let f = grid.round(freqs[i]);
+                    !freqs[..i].iter().any(|&g| grid.round(g) == f)
+                })
+                .count();
+            if distinct > slots {
                 return Err(SimError::Unsupported(
                     "more concurrent frequencies than shared P-state slots",
                 ));
             }
         }
-        for (c, f) in self.cores.iter_mut().zip(snapped) {
-            c.set_requested(f);
+        for (c, &f) in self.cores.iter_mut().zip(freqs) {
+            c.set_requested(grid.round(f));
         }
         Ok(())
     }

@@ -24,6 +24,16 @@ pub struct CoreRates {
     pub ips: f64,
 }
 
+impl CoreRates {
+    /// No activity: what a fully idle core reports, and the neutral
+    /// value for a core whose counters could not be read.
+    pub const ZERO: CoreRates = CoreRates {
+        active_freq: KiloHertz::ZERO,
+        c0_residency: 0.0,
+        ips: 0.0,
+    };
+}
+
 /// Compute rates between two counter snapshots taken `dt` apart on a part
 /// with nominal frequency `base_freq`.
 pub fn core_rates(

@@ -38,11 +38,11 @@ pub mod trace;
 pub mod prelude {
     pub use crate::counters::{core_rates, power_from_energy, power_from_energy_uj, CoreRates};
     pub use crate::energy::{EnergyAccount, EnergyLedger, Tariff};
-    pub use crate::health::{HealthEvent, HealthTracker, SensorHealth, SensorId, SensorState};
+    pub use crate::health::{HealthTracker, SensorHealth, SensorId, SensorState};
     pub use crate::histogram::LogHistogram;
     pub use crate::metrics::{AtomicLogHistogram, ControlMetrics, Counter};
     pub use crate::rollup::{ClusterRollup, NodeTelemetry};
-    pub use crate::sampler::{CoreSample, Sample, Sampler};
+    pub use crate::sampler::{CoreSample, Sample, SampleHealth, Sampler};
     pub use crate::slo::{jain_index, SloTarget, SloTracker};
     pub use crate::stats::BoxStats;
     pub use crate::trace::Trace;

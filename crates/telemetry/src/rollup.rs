@@ -676,6 +676,7 @@ mod tests {
                     requested_freq: KiloHertz::from_mhz(2000),
                 })
                 .collect(),
+            health: Default::default(),
         };
         let t = NodeTelemetry::from_sample(3, &sample, Watts(45.0), 2, 120.0);
         assert_eq!(t.node, 3);

@@ -12,6 +12,7 @@ use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::units::{Seconds, Watts};
 
 use crate::counters::{core_rates, power_from_energy, CoreRates};
+use crate::health::SensorId;
 
 /// Per-core slice of one sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,6 +24,37 @@ pub struct CoreSample {
     pub power: Option<Watts>,
     /// The frequency software had requested at sample time.
     pub requested_freq: KiloHertz,
+}
+
+/// What went wrong while collecting one sample; empty on a healthy
+/// interval. A reading listed in `missing` left the sample's previous
+/// value in place, so consumers that ignore the record see the last
+/// value read (stale fill).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SampleHealth {
+    /// Readings that failed (after retries), were rejected as
+    /// implausible or had no baseline to derive a rate from. A
+    /// [`SensorId::FreqActuator`] entry means the frequency-request
+    /// read-back failed: no verdict on the write path.
+    pub missing: Vec<SensorId>,
+    /// Retries spent per sensor while collecting.
+    pub retries: Vec<(SensorId, u64)>,
+    /// Cores whose last frequency write failed.
+    pub write_errors: Vec<usize>,
+}
+
+impl SampleHealth {
+    /// Whether nothing went wrong.
+    pub fn is_empty(&self) -> bool {
+        self.missing.is_empty() && self.retries.is_empty() && self.write_errors.is_empty()
+    }
+
+    /// Empty the record, keeping its allocations.
+    pub fn clear(&mut self) {
+        self.missing.clear();
+        self.retries.clear();
+        self.write_errors.clear();
+    }
 }
 
 /// One telemetry sample.
@@ -38,6 +70,8 @@ pub struct Sample {
     pub cores_power: Watts,
     /// Per-core slices.
     pub cores: Vec<CoreSample>,
+    /// Readings missing this interval, retries and failed writes.
+    pub health: SampleHealth,
 }
 
 impl Sample {
@@ -50,7 +84,29 @@ impl Sample {
             package_power: Watts(0.0),
             cores_power: Watts(0.0),
             cores: Vec::new(),
+            health: SampleHealth::default(),
         }
+    }
+
+    /// Size `cores` to `n` idle slices, keeping them as they are when the
+    /// count already matches (a reused buffer keeps its last readings).
+    pub fn size_cores(&mut self, n: usize) {
+        if self.cores.len() != n {
+            self.cores.clear();
+            self.cores.resize(
+                n,
+                CoreSample {
+                    rates: CoreRates::ZERO,
+                    power: None,
+                    requested_freq: KiloHertz::ZERO,
+                },
+            );
+        }
+    }
+
+    /// Whether `sensor`'s reading is missing this interval.
+    pub fn is_missing(&self, sensor: SensorId) -> bool {
+        self.health.missing.contains(&sensor)
     }
 }
 
@@ -124,6 +180,7 @@ impl Sampler {
         let cores_raw = chip.cores_energy_raw();
         out.time = now;
         out.interval = dt;
+        out.health.clear();
         out.package_power = power_from_energy(self.prev_pkg_energy, pkg_raw, dt);
         out.cores_power = power_from_energy(self.prev_cores_energy, cores_raw, dt);
         self.prev_pkg_energy = pkg_raw;

@@ -177,6 +177,7 @@ mod tests {
                 power: None,
                 requested_freq: KiloHertz::from_mhz(freq_mhz),
             }],
+            health: Default::default(),
         }
     }
 

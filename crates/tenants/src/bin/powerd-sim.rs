@@ -346,9 +346,9 @@ mod hwcli {
     use pap_workloads::spec;
     use powerd::cli::CliOptions;
     use powerd::config::{AppSpec, DaemonConfig};
-    use powerd::daemon::Daemon;
     use powerd::hw::{ControlLoop, PowerBackend};
     use powerd::report::{f1, f3, Table};
+    use powerd::resilience::{ResilienceConfig, ResilientDaemon};
     use powerd::runner::standalone_freq;
 
     fn sysfs_root(opts: &CliOptions) -> SysfsRoot {
@@ -362,8 +362,9 @@ mod hwcli {
         std::thread::sleep(Duration::from_secs_f64(dt.value()));
     }
 
-    /// Run the daemon against the live host for `--duration` wall
-    /// seconds, then report per-app energy from the attached ledger.
+    /// Run the daemon, inside the resilience ladder, against the live
+    /// host for `--duration` wall seconds, then report per-app energy
+    /// from the attached ledger, sensor failures and ladder moves.
     pub fn run_linux(opts: &CliOptions) -> Result<(), String> {
         let backend = LinuxBackend::probe(
             sysfs_root(opts),
@@ -407,7 +408,7 @@ mod hwcli {
         }
         let mut config = DaemonConfig::new(policy, limit, apps);
         config.control_interval = opts.interval;
-        let mut daemon = Daemon::new(config, &platform)?;
+        let mut daemon = ResilientDaemon::new(config, &platform, ResilienceConfig::default())?;
         daemon.attach_energy(match opts.tariff {
             Some(t) => EnergyLedger::with_tariff(Tariff::new(t)),
             None => EnergyLedger::new(),
@@ -421,7 +422,6 @@ mod hwcli {
                 lp.control(&mut daemon)?;
             }
         }
-        let backend = lp.into_backend();
 
         let ledger = daemon.take_energy().expect("ledger attached above");
         let mut t = Table::new(
@@ -446,10 +446,15 @@ mod hwcli {
         if opts.metrics {
             print!("{}", ledger.prometheus());
         }
-        for (id, h) in backend.health().sensors() {
+        for (id, h) in daemon.health().sensors() {
             if h.total_failures > 0 {
                 eprintln!("sensor {id}: {:?}, {} failures", h.state, h.total_failures);
             }
+        }
+        eprintln!("ladder: {} ({})", daemon.level(), daemon.active_policy());
+        for e in daemon.transitions() {
+            let t = e.time.value();
+            eprintln!("ladder: {t:.1} s {} -> {}: {}", e.from, e.to, e.reason);
         }
         Ok(())
     }

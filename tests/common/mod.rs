@@ -119,6 +119,7 @@ pub fn synth_sample(i: usize, platform: &PlatformSpec, apps: &[AppSpec], limit: 
         package_power: Watts(pkg),
         cores_power: Watts((pkg - 10.0).max(0.0)),
         cores,
+        health: Default::default(),
     }
 }
 

@@ -23,15 +23,14 @@ use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
 use pap_telemetry::counters::CoreRates;
+use pap_telemetry::health::SensorId;
 use pap_telemetry::metrics::ControlMetrics;
 use pap_telemetry::sampler::Sample;
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind};
 use powerd::daemon::{ControlAction, Daemon, DaemonError};
 use powerd::hw::{ControlLoop, SimBackend};
 use powerd::obs::{DecisionEvent, DecisionTrace};
-use powerd::resilience::{
-    CoreObservation, DegradationLevel, Observation, ResilienceConfig, ResilientDaemon,
-};
+use powerd::resilience::{DegradationLevel, ResilienceConfig, ResilientDaemon};
 
 /// Truncate a sample's per-core slices (a torn/partial telemetry read).
 fn truncate(sample: &Sample, cores: usize) -> Sample {
@@ -67,6 +66,7 @@ fn short_sample_degrades_instead_of_panicking() {
                     requested_freq: KiloHertz::from_mhz(2000),
                 })
                 .collect(),
+            health: Default::default(),
         };
         let short = truncate(&full, 2);
 
@@ -226,26 +226,31 @@ fn resilience_ladder_transitions_are_recorded() {
     let mut daemon = ResilientDaemon::new(config, &platform, rcfg).expect("valid config");
     daemon.attach_observer(DecisionTrace::new());
 
-    let obs = |t: f64, core0_power: Option<f64>| Observation {
-        time: Seconds(t),
-        interval: Seconds(1.0),
-        package_power: Some(Watts(25.0)),
-        cores: (0..platform.num_cores)
-            .map(|c| CoreObservation {
-                rates: Some(CoreRates {
-                    active_freq: KiloHertz::from_mhz(2000),
-                    c0_residency: 1.0,
-                    ips: 1e9,
-                }),
-                power: if c == 0 {
-                    core0_power.map(Watts)
-                } else {
-                    Some(Watts(3.0))
-                },
-                requested: None,
-            })
-            .collect(),
-        retries: Vec::new(),
+    // No frequency read-back: the request register is missing on every
+    // core, so the write path gets no verdict.
+    let obs = |t: f64, core0_power: Option<f64>| {
+        let core = pap_telemetry::sampler::CoreSample {
+            rates: CoreRates {
+                active_freq: KiloHertz::from_mhz(2000),
+                c0_residency: 1.0,
+                ips: 1e9,
+            },
+            power: Some(Watts(3.0)),
+            requested_freq: KiloHertz::ZERO,
+        };
+        let mut s = Sample {
+            time: Seconds(t),
+            interval: Seconds(1.0),
+            package_power: Watts(25.0),
+            cores: vec![core; platform.num_cores],
+            ..Sample::empty()
+        };
+        let core0_dark = core0_power.is_none().then_some(SensorId::CorePower(0));
+        s.health.missing = (0..platform.num_cores)
+            .map(SensorId::FreqActuator)
+            .chain(core0_dark)
+            .collect();
+        s
     };
 
     let mut t = 0.0;
